@@ -51,3 +51,28 @@ func BenchmarkTLB(b *testing.B) {
 		t.Access(0)
 	}
 }
+
+// BenchmarkTLBMissEviction cycles through more pages than a 64-entry TLB
+// holds, so every access misses and evicts the least recently used entry.
+func BenchmarkTLBMissEviction(b *testing.B) {
+	const pages = 96
+	t := NewTLB(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Access(Addr(0x100000 + uint64(i%pages)*PageSize))
+	}
+}
+
+// BenchmarkAccessRangePingPong64K alternates a 64 KB write by CPU 0 with a
+// 64 KB read by CPU 1 over one directory: every line moves between the
+// CPUs, the coherence traffic of a copy-heavy cell without affinity.
+func BenchmarkAccessRangePingPong64K(b *testing.B) {
+	d := NewDirectory(2)
+	l1, l2, llc := P4XeonMP()
+	h := [2]*Hierarchy{NewHierarchy(0, l1, l2, llc, d), NewHierarchy(1, l1, l2, llc, d)}
+	const buf = Addr(1 << 24)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h[i&1].AccessRange(buf, 64<<10, i&1 == 0)
+	}
+}

@@ -1,0 +1,177 @@
+package mem
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+)
+
+// diffRegions are the bases op addresses are drawn from: a dense range
+// like a machine's Space, plus far-apart ones so the dense tables' growth
+// path (a page far beyond every page seen so far) runs too.
+var diffRegions = [...]Addr{PageSize, 1 << 20, 1 << 26, 1 << 29}
+
+const diffCPUs = 4
+
+// diffRig drives the dense directory, TLB and hierarchy alongside the
+// map-based references in ref_test.go.
+type diffRig struct {
+	t    *testing.T
+	dir  *Directory
+	ref  *refDirectory
+	tlb  *TLB
+	rtlb *refTLB
+	hier [diffCPUs]*Hierarchy
+	rh   [diffCPUs]*refHierarchy
+}
+
+func newDiffRig(t *testing.T, tlbCap int, invalidates bool) *diffRig {
+	r := &diffRig{t: t, dir: NewDirectory(diffCPUs), ref: newRefDirectory(),
+		tlb: NewTLB(tlbCap), rtlb: newRefTLB(tlbCap)}
+	r.dir.DMAReadInvalidates = invalidates
+	r.ref.DMAReadInvalidates = invalidates
+	// Tiny caches, so fills evict and evictions reach the directory.
+	l1 := CacheCfg{Name: "L1", Size: 512, Ways: 2, LineSize: LineSize}
+	l2 := CacheCfg{Name: "L2", Size: 1 << 10, Ways: 2, LineSize: LineSize}
+	llc := CacheCfg{Name: "LLC", Size: 2 << 10, Ways: 4, LineSize: LineSize}
+	for cpu := range r.hier {
+		r.hier[cpu] = NewHierarchy(cpu, l1, l2, llc, r.dir)
+		r.rh[cpu] = newRefHierarchy(cpu, l1, l2, llc, r.ref)
+	}
+	return r
+}
+
+const (
+	opHasCopy = iota
+	opDirtyElsewhere
+	opOnRead
+	opOnWrite
+	opOnEvict
+	opDMAWrite
+	opDMARead
+	opToggleInvalidates
+	opTLBAccess
+	opTLBAccessRange
+	opTLBFlush
+	opHierAccess
+	numDiffOps
+)
+
+const diffOpBytes = 5
+
+// step decodes one op from five bytes and applies it to both sides.
+func (r *diffRig) step(i int, b []byte) {
+	op := int(b[0]) % numDiffOps
+	cpu := int(b[1]) % diffCPUs
+	// Offsets span 4 MB per region; the low bits pick a byte
+	// within the line so alignment is exercised too.
+	off := Addr(binary.LittleEndian.Uint16(b[3:5]))<<6 | Addr(b[1]>>2)
+	addr := diffRegions[int(b[2])%len(diffRegions)] + off
+	line := LineOf(addr)
+	t := r.t
+	switch op {
+	case opHasCopy:
+		if got, want := r.dir.HasCopy(cpu, line), r.ref.HasCopy(cpu, line); got != want {
+			t.Fatalf("op %d: HasCopy(%d, %#x) = %v, reference %v", i, cpu, line, got, want)
+		}
+	case opDirtyElsewhere:
+		if got, want := r.dir.DirtyElsewhere(cpu, line), r.ref.DirtyElsewhere(cpu, line); got != want {
+			t.Fatalf("op %d: DirtyElsewhere(%d, %#x) = %v, reference %v", i, cpu, line, got, want)
+		}
+	case opOnRead:
+		if got, want := r.dir.OnRead(cpu, line), r.ref.OnRead(cpu, line); got != want {
+			t.Fatalf("op %d: OnRead(%d, %#x) = %v, reference %v", i, cpu, line, got, want)
+		}
+	case opOnWrite:
+		if got, want := r.dir.OnWrite(cpu, line), r.ref.OnWrite(cpu, line); got != want {
+			t.Fatalf("op %d: OnWrite(%d, %#x) = %v, reference %v", i, cpu, line, got, want)
+		}
+	case opOnEvict:
+		r.dir.OnEvict(cpu, line)
+		r.ref.OnEvict(cpu, line)
+	case opDMAWrite:
+		r.dir.DMAWrite(line)
+		r.ref.DMAWrite(line)
+	case opDMARead:
+		if got, want := r.dir.DMARead(line), r.ref.DMARead(line); got != want {
+			t.Fatalf("op %d: DMARead(%#x) = %v, reference %v", i, line, got, want)
+		}
+	case opToggleInvalidates:
+		r.dir.DMAReadInvalidates = !r.dir.DMAReadInvalidates
+		r.ref.DMAReadInvalidates = !r.ref.DMAReadInvalidates
+	case opTLBAccess:
+		if got, want := r.tlb.Access(addr), r.rtlb.Access(addr); got != want {
+			t.Fatalf("op %d: TLB Access(%#x) = %v, reference %v", i, addr, got, want)
+		}
+	case opTLBAccessRange:
+		size := int(b[1]) * 300 // up to ~19 pages, sometimes 0
+		if got, want := r.tlb.AccessRange(addr, size), r.rtlb.AccessRange(addr, size); got != want {
+			t.Fatalf("op %d: TLB AccessRange(%#x, %d) = %d, reference %d", i, addr, size, got, want)
+		}
+	case opTLBFlush:
+		r.tlb.Flush()
+		r.rtlb.Flush()
+	case opHierAccess:
+		write := b[1]&0x80 != 0
+		if got, want := r.hier[cpu].Access(addr, write), r.rh[cpu].Access(addr, write); got != want {
+			t.Fatalf("op %d: cpu %d Access(%#x, write=%v) = %+v, reference %+v", i, cpu, addr, write, got, want)
+		}
+	}
+	if got, want := r.dir.Lines(), r.ref.Lines(); got != want {
+		t.Fatalf("op %d: Lines() = %d, reference %d", i, got, want)
+	}
+	if got, want := r.tlb.Len(), r.rtlb.Len(); got != want {
+		t.Fatalf("op %d: TLB Len() = %d, reference %d", i, got, want)
+	}
+	if got, want := r.tlb.HitRate(), r.rtlb.HitRate(); got != want {
+		t.Fatalf("op %d: TLB HitRate() = %v, reference %v", i, got, want)
+	}
+}
+
+// runDiff interprets data as a TLB capacity, the initial snoop mode and
+// a stream of five-byte ops.
+func runDiff(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	r := newDiffRig(t, 1+int(data[0])%80, data[1]&1 != 0)
+	ops := data[2:]
+	for i := 0; i+diffOpBytes <= len(ops); i += diffOpBytes {
+		r.step(i/diffOpBytes, ops[i:i+diffOpBytes])
+	}
+}
+
+// TestDenseTablesMatchReference drives the dense directory, TLB and
+// hierarchy and their map-based references with the same seeded random
+// op streams, comparing every result after every op.
+func TestDenseTablesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	streams, ops := 40, 20_000
+	if testing.Short() {
+		streams = 8
+	}
+	for s := 0; s < streams; s++ {
+		data := make([]byte, 2+ops*diffOpBytes)
+		rng.Read(data)
+		// Half the streams stay in four pages of the dense region, so
+		// lines are revisited often and coherence state builds up, with
+		// a TLB smaller than the pages their ranges cover, so it evicts.
+		if s%2 == 0 {
+			data[0] %= 16
+			for i := 2; i+diffOpBytes <= len(data); i += diffOpBytes {
+				data[i+2] = 0
+				data[i+4] = 0
+			}
+		}
+		runDiff(t, data)
+	}
+}
+
+// FuzzDenseTables is the fuzzing form of TestDenseTablesMatchReference:
+// go test -fuzz FuzzDenseTables ./internal/mem
+func FuzzDenseTables(f *testing.F) {
+	f.Add([]byte{63, 1, opOnWrite, 0, 0, 1, 0, opHierAccess, 0x81, 0, 1, 0, opDMARead, 0, 0, 1, 0})
+	f.Add([]byte{3, 0, opTLBAccessRange, 200, 1, 0, 0, opTLBAccessRange, 200, 3, 0, 0, opTLBFlush, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, opDMAWrite, 0, 3, 255, 255, opOnEvict, 1, 3, 255, 255, opHasCopy, 2, 2, 7, 7})
+	f.Fuzz(runDiff)
+}

@@ -78,9 +78,13 @@ func (h *Hierarchy) LLC() *Cache { return h.llc }
 
 // Access performs one access to the line containing addr and returns
 // where it was served from, after updating cache and coherence state.
+// The line's directory entry is fetched once: every access leaves the
+// line tracked (a hit implies it already is), and a fill's LLC eviction
+// only updates other, existing lines.
 func (h *Hierarchy) Access(addr Addr, write bool) AccessResult {
 	line := LineOf(addr)
-	valid := h.dir.HasCopy(h.cpu, line)
+	l := h.dir.entry(line)
+	valid := l.hasCopy(h.cpu)
 
 	var res AccessResult
 	switch {
@@ -95,16 +99,16 @@ func (h *Hierarchy) Access(addr Addr, write bool) AccessResult {
 		h.fillL1(line)
 	default:
 		res.Level = LevelMemory
-		res.Remote = h.dir.DirtyElsewhere(h.cpu, line)
+		res.Remote = l.dirtyElsewhere(h.cpu)
 		h.fillLLC(line)
 		h.fillL2(line)
 		h.fillL1(line)
 	}
 
 	if write {
-		h.dir.OnWrite(h.cpu, line)
+		l.onWrite(h.cpu)
 	} else if res.Level == LevelMemory {
-		h.dir.OnRead(h.cpu, line)
+		l.onRead(h.cpu)
 	}
 	return res
 }

@@ -5,12 +5,23 @@ package mem
 // instruction and data TLBs and no address-space identifiers, so a
 // context switch to a different address space flushes everything — one of
 // the costs process migration and interrupt intrusion impose.
+//
+// The entries live in a fixed array of capacity slots; a page-indexed
+// table (dense, because Space is a bump allocator) maps each resident
+// page to its slot. A miss on a full TLB evicts the slot with the
+// smallest last-use tick. Ticks are unique, so the victim is too.
 type TLB struct {
 	capacity int
 	tick     uint64
-	entries  map[Addr]uint64 // page address -> last-use tick
+	slots    []tlbSlot
+	slotOf   []uint32 // by page number: slot index + 1, 0 when not resident
 	hits     uint64
 	lookups  uint64
+}
+
+type tlbSlot struct {
+	page Addr
+	use  uint64 // last-use tick
 }
 
 // NewTLB returns an empty TLB holding capacity entries.
@@ -18,32 +29,39 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("mem: TLB capacity must be positive")
 	}
-	return &TLB{capacity: capacity, entries: make(map[Addr]uint64, capacity)}
+	return &TLB{capacity: capacity, slots: make([]tlbSlot, 0, capacity)}
 }
 
 // Access translates the page containing addr. It reports false on a miss
 // (a page walk), installing the entry.
 func (t *TLB) Access(addr Addr) bool {
 	page := PageOf(addr)
+	n := int(page >> PageShift)
 	t.tick++
 	t.lookups++
-	if _, ok := t.entries[page]; ok {
-		t.entries[page] = t.tick
-		t.hits++
-		return true
-	}
-	if len(t.entries) >= t.capacity {
-		var victim Addr
-		oldest := t.tick + 1
-		for p, use := range t.entries {
-			if use < oldest {
-				oldest = use
-				victim = p
-			}
+	if n < len(t.slotOf) {
+		if s := t.slotOf[n]; s != 0 {
+			t.slots[s-1].use = t.tick
+			t.hits++
+			return true
 		}
-		delete(t.entries, victim)
+	} else {
+		t.slotOf = append(t.slotOf, make([]uint32, max(n+1, 2*len(t.slotOf))-len(t.slotOf))...)
 	}
-	t.entries[page] = t.tick
+	if len(t.slots) < t.capacity {
+		t.slots = append(t.slots, tlbSlot{page: page, use: t.tick})
+		t.slotOf[n] = uint32(len(t.slots))
+		return false
+	}
+	victim := 0
+	for i := 1; i < len(t.slots); i++ {
+		if t.slots[i].use < t.slots[victim].use {
+			victim = i
+		}
+	}
+	t.slotOf[t.slots[victim].page>>PageShift] = 0
+	t.slots[victim] = tlbSlot{page: page, use: t.tick}
+	t.slotOf[n] = uint32(victim + 1)
 	return false
 }
 
@@ -69,11 +87,14 @@ func (t *TLB) AccessRange(addr Addr, size int) int {
 
 // Flush empties the TLB (address-space switch).
 func (t *TLB) Flush() {
-	clear(t.entries)
+	for _, s := range t.slots {
+		t.slotOf[s.page>>PageShift] = 0
+	}
+	t.slots = t.slots[:0]
 }
 
 // Len reports the number of live entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return len(t.slots) }
 
 // HitRate reports lifetime hits/lookups.
 func (t *TLB) HitRate() float64 {

@@ -1,8 +1,13 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Coro is a strict-handoff coroutine: a goroutine that runs only while the
+// Coro is a strict-handoff coroutine: a body that runs only while the
 // engine has explicitly resumed it, and that must park (or finish) to hand
 // control back. At any instant at most one coroutine (or the engine) is
 // executing, so the simulation stays deterministic even though simulated
@@ -15,32 +20,25 @@ import "fmt"
 //	c.Resume()   // runs from after Park to the next Park / return
 //	c.Kill()     // unwinds a parked coroutine (its deferred calls run)
 //
-// The body must only Park from its own goroutine, and Resume must only be
-// called from outside it (engine/event context).
+// The body must only Park from its own stack, and Resume must only be
+// called from outside it (engine/event context, or another coroutine).
 //
-// Control transfers ride a single unbuffered rendezvous channel. The
-// handoff protocol is strictly alternating — the engine side sends
-// sigResume/sigKill and then receives, the coroutine side receives and
-// then sends sigYield — so exactly one party ever touches the channel
-// from each side and one channel operation per direction is the whole
-// switch cost.
+// Control transfers ride the runtime's coroutine switch behind iter.Pull:
+// Resume is the pull iterator's next, Park is its yield, and Kill is its
+// stop. The switch hands the thread directly to the other goroutine
+// without going through the scheduler's run queue, so a handoff never
+// wakes another thread. The body's goroutine is created on the first
+// Resume, so a coroutine that is never started costs nothing.
 type Coro struct {
 	name     string
-	hand     chan coroSignal
-	started  bool
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	done     bool
 	parked   bool
 	body     func(*Coro)
 	panicMsg string
 }
-
-type coroSignal int
-
-const (
-	sigResume coroSignal = iota
-	sigKill
-	sigYield
-)
 
 // coroKilled is the panic value used to unwind a killed coroutine.
 type coroKilled struct{ name string }
@@ -48,11 +46,7 @@ type coroKilled struct{ name string }
 // NewCoro creates a coroutine around body. The body does not start running
 // until the first Resume.
 func NewCoro(name string, body func(*Coro)) *Coro {
-	return &Coro{
-		name: name,
-		hand: make(chan coroSignal),
-		body: body,
-	}
+	return &Coro{name: name, body: body}
 }
 
 // Name returns the diagnostic name given at creation.
@@ -73,25 +67,21 @@ func (c *Coro) Resume() {
 	if c.done {
 		panic(fmt.Sprintf("sim: resume of finished coroutine %q", c.name))
 	}
-	if !c.started {
-		c.started = true
-		go c.run()
-	} else {
-		c.hand <- sigResume
+	if c.next == nil {
+		c.next, c.stop = iter.Pull(c.run)
 	}
-	<-c.hand
+	c.next()
 	c.repanic()
 }
 
 // Park yields control back to whoever resumed the coroutine and blocks the
 // body until the next Resume. It must be called from the coroutine's own
-// goroutine.
+// body.
 func (c *Coro) Park() {
 	c.parked = true
-	c.hand <- sigYield
-	sig := <-c.hand
+	alive := c.yield(struct{}{})
 	c.parked = false
-	if sig == sigKill {
+	if !alive {
 		panic(coroKilled{c.name})
 	}
 }
@@ -101,19 +91,18 @@ func (c *Coro) Park() {
 // Killing an unstarted or finished coroutine is a no-op. A panic raised
 // by the body's deferred cleanup resurfaces here.
 func (c *Coro) Kill() {
-	if c.done || !c.started {
+	if c.done || c.next == nil {
 		c.done = true
 		return
 	}
 	if !c.parked {
 		panic(fmt.Sprintf("sim: kill of running coroutine %q", c.name))
 	}
-	c.hand <- sigKill
-	<-c.hand
+	c.stop()
 	c.repanic()
 }
 
-// repanic relays a panic captured on the coroutine goroutine onto the
+// repanic relays a panic captured on the coroutine's stack onto the
 // engine side, once.
 func (c *Coro) repanic() {
 	if c.panicMsg != "" {
@@ -123,7 +112,10 @@ func (c *Coro) repanic() {
 	}
 }
 
-func (c *Coro) run() {
+// run is the pull iterator's sequence: the body, with its panics turned
+// into a message the engine side re-raises.
+func (c *Coro) run(yield func(struct{}) bool) {
+	c.yield = yield
 	defer func() {
 		c.done = true
 		if r := recover(); r != nil {
@@ -134,7 +126,6 @@ func (c *Coro) run() {
 				c.panicMsg = fmt.Sprintf("sim: coroutine %q panicked: %v", c.name, r)
 			}
 		}
-		c.hand <- sigYield
 	}()
 	c.body(c)
 }
