@@ -107,6 +107,9 @@ type Model struct {
 	// remoteAccum counts remote-dirty transfers toward the next
 	// snoop-induced machine clear.
 	remoteAccum int
+	// x is the activation Begin hands out. A processor runs one
+	// procedure at a time, so every activation reuses it.
+	x Exec
 }
 
 // New builds a core attached to its cache hierarchy and the shared
@@ -119,7 +122,7 @@ func New(id int, cfg Config, hier *mem.Hierarchy, ctr *perf.Counters, rng *sim.R
 	if cfg.TLBEntries <= 0 {
 		cfg.TLBEntries = 64
 	}
-	return &Model{
+	m := &Model{
 		id:   id,
 		cfg:  cfg,
 		hier: hier,
@@ -129,6 +132,8 @@ func New(id int, cfg Config, hier *mem.Hierarchy, ctr *perf.Counters, rng *sim.R
 		ctr:  ctr,
 		rng:  rng,
 	}
+	m.x.done = true
+	return m
 }
 
 // ID reports the processor number.

@@ -186,6 +186,39 @@ func TestExecFinishTwicePanics(t *testing.T) {
 	x.Finish()
 }
 
+// TestExecReusedFinishTwicePanics finishes the model's reused Exec twice
+// in its second activation: the first activation's Finish must not have
+// left it able to absorb a second one.
+func TestExecReusedFinishTwicePanics(t *testing.T) {
+	r := newRig(t)
+	first := r.m0.Begin(r.sym, CodeRef{})
+	first.Finish()
+	x := r.m0.Begin(r.sym, CodeRef{})
+	if x != first {
+		t.Fatal("Begin did not reuse the model's Exec")
+	}
+	x.Finish()
+	defer func() {
+		if recover() == nil {
+			t.Error("double Finish of a reused Exec did not panic")
+		}
+	}()
+	x.Finish()
+}
+
+func TestBeginWithActivationOpenPanics(t *testing.T) {
+	r := newRig(t)
+	r.m0.Begin(r.sym, CodeRef{}).Instr(10, 0, 0)
+	// Another processor's model is independent.
+	r.m1.Begin(r.sym, CodeRef{}).Finish()
+	defer func() {
+		if v := recover(); v != "cpu: Begin with an activation still open" {
+			t.Errorf("nested Begin recovered %v", v)
+		}
+	}()
+	r.m0.Begin(r.sym, CodeRef{})
+}
+
 func TestExecMinimumOneCycle(t *testing.T) {
 	r := newRig(t)
 	if c := r.m0.Begin(r.sym, CodeRef{}).Finish(); c != 1 {

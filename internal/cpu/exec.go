@@ -11,8 +11,10 @@ import (
 // memory ranges touched — and Finish converts that into cycles while
 // posting every event to the PMU counters under the procedure's symbol.
 //
-// An Exec is single-use and must be finished; the kernel charges the
-// returned cycles to the processor's timeline.
+// An Exec must be finished; the kernel charges the returned cycles to
+// the processor's timeline. Each Model owns a single Exec that Begin
+// reopens for every activation, so an activation allocates nothing and
+// the pointer Begin returns is dead once Finish returns.
 type Exec struct {
 	m      *Model
 	sym    perf.Symbol
@@ -22,9 +24,14 @@ type Exec struct {
 
 // Begin opens an activation of sym whose code lives at code. The model
 // charges front-end costs (trace-cache and ITLB behaviour) for the code
-// footprint immediately.
+// footprint immediately. It panics if the previous activation has not
+// finished.
 func (m *Model) Begin(sym perf.Symbol, code CodeRef) *Exec {
-	x := &Exec{m: m, sym: sym}
+	x := &m.x
+	if !x.done {
+		panic("cpu: Begin with an activation still open")
+	}
+	*x = Exec{m: m, sym: sym}
 	if code.Size > 0 {
 		x.touchCode(code)
 	}

@@ -56,3 +56,29 @@ func BenchmarkSpinLockUncontended(b *testing.B) {
 	b.ResetTimer()
 	eng.Run(sim.Forever - 1)
 }
+
+// BenchmarkEnvRunActivation measures the activation machinery alone: an
+// empty work item with no interrupt pending, so each op is Begin and
+// Finish, the completion event, the boundary and two coroutine switches.
+// It allocates nothing.
+func BenchmarkEnvRunActivation(b *testing.B) {
+	eng := sim.NewEngine(1)
+	tab := perf.NewSymbolTable()
+	ctr := perf.NewCounters(tab, 1)
+	k := New(Config{
+		Engine: eng, Space: mem.NewSpace(), Table: tab, Ctr: ctr,
+		NumCPUs: 1, CPU: cpu.DefaultConfig(), Tune: DefaultTuning(),
+	})
+	defer k.Shutdown()
+	p := k.NewProc("bench_fn", perf.BinOther, 512)
+	n := 0
+	k.Spawn("bench", 0, 0, func(e *Env) {
+		for n < b.N {
+			e.Run(p, nil)
+			n++
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(sim.Forever - 1)
+}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apic"
 	"repro/internal/cpu"
+	"repro/internal/fifo"
 	"repro/internal/mem"
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -26,6 +27,12 @@ type pendingIRQ struct {
 	kind apic.Kind
 }
 
+// irqQueueCap is the initial interrupt-queue size per processor: the
+// reschedule and timer vectors plus a few device vectors. The APIC does
+// not coalesce, so a vector can be queued more than once; a deeper
+// backlog doubles the queue, which then keeps that size.
+const irqQueueCap = 8
+
 // KCPU is the kernel's per-processor state: the run queue, the interrupt
 // and softirq machinery, and the dispatcher that serializes all simulated
 // execution on the processor.
@@ -37,7 +44,8 @@ type KCPU struct {
 	rq   []*Task
 	curr *Task
 
-	irqQ      []pendingIRQ
+	// irqQ holds interrupts awaiting the next work-item boundary.
+	irqQ      fifo.Queue[pendingIRQ]
 	softPend  uint32
 	bhDisable int
 
@@ -75,7 +83,8 @@ type KCPU struct {
 }
 
 func newKCPU(k *Kernel, id int, model *cpu.Model) *KCPU {
-	c := &KCPU{k: k, id: id, Model: model, state: stIdle, lastMM: -1, lastTaskID: -1}
+	c := &KCPU{k: k, id: id, Model: model, state: stIdle, lastMM: -1, lastTaskID: -1,
+		irqQ: fifo.New[pendingIRQ](irqQueueCap)}
 	c.procIdle = k.NewProc("cpu_idle", perf.BinIdle, 256)
 	c.lastSym = c.procIdle.Sym
 	c.rqAddr = k.Space.Alloc(256, fmt.Sprintf("runqueue%d", id))
@@ -129,7 +138,7 @@ func (c *KCPU) leaveIdle() {
 // next work-item boundary (the model's interrupt latency, and the source
 // of attribution skid).
 func (c *KCPU) DeliverInterrupt(vec apic.Vector, kind apic.Kind) {
-	c.irqQ = append(c.irqQ, pendingIRQ{vec: vec, kind: kind})
+	c.irqQ.Push(pendingIRQ{vec: vec, kind: kind})
 	if c.state == stIdle {
 		c.leaveIdle()
 		c.state = stIRQ
@@ -141,12 +150,11 @@ func (c *KCPU) DeliverInterrupt(vec apic.Vector, kind apic.Kind) {
 // machine clears and handler execution to the timeline, then calls done.
 // It must be entered in engine context.
 func (c *KCPU) beginIRQChain(done func()) {
-	if len(c.irqQ) == 0 {
+	p, ok := c.irqQ.Pop()
+	if !ok {
 		done()
 		return
 	}
-	p := c.irqQ[0]
-	c.irqQ = c.irqQ[1:]
 	c.k.Trace.IRQEnter(c.k.Eng.Now(), c.id, int(p.vec), int(p.kind))
 
 	var handlerCycles sim.Cycles
@@ -218,7 +226,7 @@ func (c *KCPU) startSoftirqd() {
 	c.softirqdActive = true
 	c.state = stSoftirq
 	if c.softirqdCo == nil {
-		c.softirqdEnv = &Env{k: c.k, cpu: c, softirq: true}
+		c.softirqdEnv = newEnv(c.k, c, nil)
 		c.softirqdCo = sim.NewCoro(fmt.Sprintf("softirqd/%d", c.id), func(co *sim.Coro) {
 			c.softirqdLoop()
 		})
@@ -260,7 +268,7 @@ func (c *KCPU) softirqdLoop() {
 // finally the preempted task context (if any) resumes, or the scheduler
 // looks for work.
 func (c *KCPU) softirqdIdle() {
-	if len(c.irqQ) > 0 {
+	if c.irqQ.Len() > 0 {
 		c.state = stIRQ
 		c.beginIRQChain(c.softirqdIdle)
 		return
@@ -279,50 +287,52 @@ func (c *KCPU) softirqdIdle() {
 }
 
 // boundary is invoked in engine context when a work item of env finishes:
-// queued interrupts run first, then pending bottom halves (unless the
-// context holds spinlocks), then preemption is honoured, and finally the
-// work's continuation resumes.
-func (c *KCPU) boundary(env *Env, resume func()) {
-	cont := func() {
-		if env.softirq || env.locksHeld > 0 {
-			resume()
-			return
-		}
-		if c.softPend != 0 && c.bhDisable == 0 {
-			c.suspendedResume = resume
-			c.startSoftirqd()
-			return
-		}
-		if c.needResched {
-			c.needResched = false
-			if c.curr != nil && len(c.rq) > 0 {
-				// Reschedule requested (quantum expiry or a resched IPI
-				// for a better-goodness waiter) with waiting work:
-				// round-robin.
-				t := c.curr
-				t.state = TaskRunnable
-				c.curr = nil
-				c.rq = append(c.rq, t)
-				c.state = stSched
-				c.schedule()
-				return
-			}
-		}
-		resume()
-	}
-	if len(c.irqQ) > 0 {
+// queued interrupts run first, then boundaryCont.
+func (c *KCPU) boundary(env *Env) {
+	if c.irqQ.Len() > 0 {
 		prev := c.state
 		c.state = stIRQ
-		c.beginIRQChain(func() { c.state = prev; cont() })
+		c.beginIRQChain(func() { c.state = prev; c.boundaryCont(env) })
 		return
 	}
-	cont()
+	c.boundaryCont(env)
+}
+
+// boundaryCont runs pending bottom halves (unless the context holds
+// spinlocks), then honours preemption, and finally resumes the work's
+// context.
+func (c *KCPU) boundaryCont(env *Env) {
+	if env.softirq || env.locksHeld > 0 {
+		env.resume()
+		return
+	}
+	if c.softPend != 0 && c.bhDisable == 0 {
+		c.suspendedResume = env.resume
+		c.startSoftirqd()
+		return
+	}
+	if c.needResched {
+		c.needResched = false
+		if c.curr != nil && len(c.rq) > 0 {
+			// Reschedule requested (quantum expiry or a resched IPI
+			// for a better-goodness waiter) with waiting work:
+			// round-robin.
+			t := c.curr
+			t.state = TaskRunnable
+			c.curr = nil
+			c.rq = append(c.rq, t)
+			c.state = stSched
+			c.schedule()
+			return
+		}
+	}
+	env.resume()
 }
 
 // schedule picks the next task (running the context-switch cost) or goes
 // idle. Engine context only.
 func (c *KCPU) schedule() {
-	if len(c.irqQ) > 0 {
+	if c.irqQ.Len() > 0 {
 		c.state = stIRQ
 		c.beginIRQChain(c.schedule)
 		return

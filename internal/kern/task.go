@@ -70,6 +70,28 @@ type Env struct {
 	softirq bool
 
 	locksHeld int
+
+	// complete is the event that ends each activation Run charges, and
+	// resume the continuation that hands control back to the context.
+	// Both are bound once, in newEnv, so an activation allocates
+	// nothing, and both read e.cpu when they fire rather than when Run
+	// schedules them. That is the same processor: a context parked in
+	// Run is not runnable (a softirq daemon never moves; a task stays
+	// its processor's current task), and e.cpu changes only in dispatch,
+	// which runs only for a task taken off a run queue. The boundary
+	// that requeues a preempted task drops its resume and never calls
+	// it, and dispatch later resumes the coroutine directly.
+	complete func()
+	resume   func()
+}
+
+// newEnv builds an execution context and binds its activation
+// continuations.
+func newEnv(k *Kernel, c *KCPU, t *Task) *Env {
+	e := &Env{k: k, cpu: c, task: t, softirq: t == nil}
+	e.complete = func() { e.cpu.boundary(e) }
+	e.resume = func() { e.cpu.resumeContext(e) }
+	return e
 }
 
 // Kernel returns the owning kernel.
@@ -101,11 +123,8 @@ func (e *Env) Run(proc Proc, build func(x *cpu.Exec)) {
 		c.pendingClears = 0
 	}
 	c.lastSym = proc.Sym
-	co := e.co
-	c.k.Eng.After(cycles, func() {
-		c.boundary(e, func() { c.resumeContext(e) })
-	})
-	co.Park()
+	c.k.Eng.After(cycles, e.complete)
+	e.co.Park()
 }
 
 // resumeContext continues a parked context: softirq daemons resume
@@ -202,7 +221,7 @@ func (k *Kernel) Spawn(name string, startCPU int, affinityMask uint32, body func
 		mmID:       k.seq,
 		structAddr: k.Space.Alloc(1024, "task_struct:"+name),
 	}
-	env := &Env{k: k, task: t}
+	env := newEnv(k, nil, t)
 	t.env = env
 	t.co = sim.NewCoro("task:"+name, func(co *sim.Coro) {
 		body(env)

@@ -76,3 +76,25 @@ func BenchmarkAccessRangePingPong64K(b *testing.B) {
 		h[i&1].AccessRange(buf, 64<<10, i&1 == 0)
 	}
 }
+
+// BenchmarkCacheLookupFill runs the miss-then-fill pattern of the
+// hierarchy on an L2-geometry cache. Even iterations revisit a hot half
+// of the cache, which stays resident and hits deep in its sets; odd
+// iterations stream through new lines, each a miss that evicts.
+func BenchmarkCacheLookupFill(b *testing.B) {
+	_, l2, _ := P4XeonMP()
+	c := NewCache(l2)
+	hot := Addr(l2.Size / 2 / LineSize)
+	const stream = Addr(1 << 30)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := Addr(i / 2)
+		line := (n % hot) << LineShift
+		if i&1 != 0 {
+			line = stream + n<<LineShift
+		}
+		if !c.Lookup(line) {
+			c.Fill(line)
+		}
+	}
+}

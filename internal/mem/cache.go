@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CacheCfg sizes one cache level.
 type CacheCfg struct {
@@ -25,23 +28,30 @@ func TraceCacheCfg() CacheCfg {
 	return CacheCfg{Name: "TC", Size: 16 << 10, Ways: 8, LineSize: LineSize}
 }
 
-type cacheLine struct {
-	tag   Addr // line-aligned address
-	valid bool
-	lru   uint64
-}
-
 // Cache is one set-associative, LRU cache level. It tracks only presence
 // (tags); dirtiness and cross-CPU validity live in the coherence
 // Directory so invalidation can be lazy.
+//
+// Each set is ways consecutive 32-bit tags in tags, ordered from most to
+// least recently used, with every valid tag ahead of the empty ones. A
+// tag is the line number plus one, so 0 marks an empty way. Keeping the
+// set in recency order is exactly LRU: a hit moves its tag to the front,
+// a fill inserts at the front and, only when no way is empty, evicts the
+// last one. It makes the same choices as a last-use tick per line would
+// (the tick version lives on as the differential tests' reference):
+// ticks are unique, so recency is a total order; a miss changes nothing;
+// and which empty way a fill takes is never observable.
 type Cache struct {
 	cfg     CacheCfg
-	sets    [][]cacheLine
+	tags    []uint32
+	ways    int
 	mask    Addr
-	tick    uint64
 	hits    uint64
 	lookups uint64
 }
+
+// maxTagLine is the highest line number a 32-bit tag can hold.
+const maxTagLine = math.MaxUint32 - 1
 
 // NewCache builds an empty cache. It panics on degenerate geometry.
 func NewCache(cfg CacheCfg) *Cache {
@@ -56,32 +66,41 @@ func NewCache(cfg CacheCfg) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %q set count %d not a power of two", cfg.Name, nSets))
 	}
-	sets := make([][]cacheLine, nSets)
-	backing := make([]cacheLine, nLines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, sets: sets, mask: Addr(nSets - 1)}
+	return &Cache{cfg: cfg, tags: make([]uint32, nLines), ways: cfg.Ways, mask: Addr(nSets - 1)}
 }
 
 // Cfg returns the cache's geometry.
 func (c *Cache) Cfg() CacheCfg { return c.cfg }
 
-func (c *Cache) set(line Addr) []cacheLine {
-	return c.sets[(line>>LineShift)&c.mask]
+// tagOf converts a line-aligned address to its tag and set. It panics if
+// the line number does not fit a tag rather than alias another line.
+func (c *Cache) tagOf(line Addr) (uint32, []uint32) {
+	n := line >> LineShift
+	if n > maxTagLine {
+		panic(fmt.Sprintf("mem: cache %q line %#x beyond the 32-bit tag range", c.cfg.Name, line))
+	}
+	base := int(n&c.mask) * c.ways
+	return uint32(n) + 1, c.tags[base : base+c.ways : base+c.ways]
 }
 
 // Lookup reports whether the line-aligned address is present, updating
 // LRU on hit.
 func (c *Cache) Lookup(line Addr) bool {
 	c.lookups++
-	c.tick++
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].lru = c.tick
+	t, set := c.tagOf(line)
+	for i, v := range set {
+		if v == t {
+			// Move the tag to the front, shifting the more recently
+			// used ways back by one.
+			if i > 0 {
+				copy(set[1:i+1], set[:i])
+				set[0] = t
+			}
 			c.hits++
 			return true
+		}
+		if v == 0 {
+			break
 		}
 	}
 	return false
@@ -89,54 +108,43 @@ func (c *Cache) Lookup(line Addr) bool {
 
 // Fill installs the line, evicting the LRU way if necessary. It returns
 // the evicted line address and true if a valid line was displaced.
+//
+// One pass inserts the tag at the front and shifts each way back by one
+// until it reaches the line's own old way (already present, e.g. a
+// refill after a lazy invalidation: recency is refreshed only) or the
+// first empty way; otherwise the tag shifted out of the last way is the
+// victim.
 func (c *Cache) Fill(line Addr) (evicted Addr, wasValid bool) {
-	c.tick++
-	set := c.set(line)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			// Already present (e.g. refill after a lazy invalidation):
-			// refresh recency only.
-			set[i].lru = c.tick
+	t, set := c.tagOf(line)
+	prev := t
+	for i, v := range set {
+		set[i] = prev
+		if v == t || v == 0 {
 			return 0, false
 		}
-		if !set[i].valid {
-			victim = i
-			wasValid = false
-			// Prefer an invalid way, but keep scanning for an existing
-			// copy of the line.
-			continue
-		}
-		if set[victim].valid && set[i].lru < set[victim].lru {
-			victim = i
-		}
+		prev = v
 	}
-	if set[victim].valid {
-		evicted, wasValid = set[victim].tag, true
-	}
-	set[victim] = cacheLine{tag: line, valid: true, lru: c.tick}
-	return evicted, wasValid
+	return Addr(prev-1) << LineShift, true
 }
 
-// Invalidate drops the line if present.
+// Invalidate drops the line if present, closing the gap so the empty
+// way moves to the back of the set.
 func (c *Cache) Invalidate(line Addr) {
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].valid = false
+	t, set := c.tagOf(line)
+	for i, v := range set {
+		if v == t {
+			copy(set[i:], set[i+1:])
+			set[len(set)-1] = 0
+			return
+		}
+		if v == 0 {
 			return
 		}
 	}
 }
 
 // Flush empties the cache.
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // HitRate reports lifetime hits/lookups, for diagnostics and tests.
 func (c *Cache) HitRate() float64 {

@@ -13,16 +13,22 @@ var diffRegions = [...]Addr{PageSize, 1 << 20, 1 << 26, 1 << 29}
 
 const diffCPUs = 4
 
-// diffRig drives the dense directory, TLB and hierarchy alongside the
-// map-based references in ref_test.go.
+// diffCacheWays are the associativities of the stand-alone caches the
+// cache ops drive, each eight sets deep so lines collide within a set.
+var diffCacheWays = [...]int{1, 2, 4, 8}
+
+// diffRig drives the dense directory, TLB, hierarchy and recency-ordered
+// caches alongside the references in ref_test.go.
 type diffRig struct {
-	t    *testing.T
-	dir  *Directory
-	ref  *refDirectory
-	tlb  *TLB
-	rtlb *refTLB
-	hier [diffCPUs]*Hierarchy
-	rh   [diffCPUs]*refHierarchy
+	t      *testing.T
+	dir    *Directory
+	ref    *refDirectory
+	tlb    *TLB
+	rtlb   *refTLB
+	hier   [diffCPUs]*Hierarchy
+	rh     [diffCPUs]*refHierarchy
+	cache  [len(diffCacheWays)]*Cache
+	rcache [len(diffCacheWays)]*refCache
 }
 
 func newDiffRig(t *testing.T, tlbCap int, invalidates bool) *diffRig {
@@ -37,6 +43,11 @@ func newDiffRig(t *testing.T, tlbCap int, invalidates bool) *diffRig {
 	for cpu := range r.hier {
 		r.hier[cpu] = NewHierarchy(cpu, l1, l2, llc, r.dir)
 		r.rh[cpu] = newRefHierarchy(cpu, l1, l2, llc, r.ref)
+	}
+	for i, ways := range diffCacheWays {
+		cfg := CacheCfg{Name: "C", Size: 8 * ways * LineSize, Ways: ways, LineSize: LineSize}
+		r.cache[i] = NewCache(cfg)
+		r.rcache[i] = newRefCache(cfg)
 	}
 	return r
 }
@@ -54,6 +65,10 @@ const (
 	opTLBAccessRange
 	opTLBFlush
 	opHierAccess
+	opCacheLookup
+	opCacheFill
+	opCacheInvalidate
+	opCacheFlush
 	numDiffOps
 )
 
@@ -63,6 +78,8 @@ const diffOpBytes = 5
 func (r *diffRig) step(i int, b []byte) {
 	op := int(b[0]) % numDiffOps
 	cpu := int(b[1]) % diffCPUs
+	ci := int(b[1]) % len(diffCacheWays) // the stand-alone cache for cache ops
+	c, rc := r.cache[ci], r.rcache[ci]
 	// Offsets span 4 MB per region; the low bits pick a byte
 	// within the line so alignment is exercised too.
 	off := Addr(binary.LittleEndian.Uint16(b[3:5]))<<6 | Addr(b[1]>>2)
@@ -116,6 +133,26 @@ func (r *diffRig) step(i int, b []byte) {
 		if got, want := r.hier[cpu].Access(addr, write), r.rh[cpu].Access(addr, write); got != want {
 			t.Fatalf("op %d: cpu %d Access(%#x, write=%v) = %+v, reference %+v", i, cpu, addr, write, got, want)
 		}
+	case opCacheLookup:
+		r.cacheLookup(i, ci, line)
+	case opCacheFill:
+		r.cacheFill(i, ci, line)
+	case opCacheInvalidate:
+		c.Invalidate(line)
+		rc.Invalidate(line)
+	case opCacheFlush:
+		// A flush on every sixteenth op would keep the caches nearly
+		// empty, so only one in 32 of these ops flushes; the rest run
+		// the hierarchy's step, a lookup and a fill on a miss.
+		if b[3]%32 == 0 {
+			c.Flush()
+			rc.Flush()
+		} else if !r.cacheLookup(i, ci, line) {
+			r.cacheFill(i, ci, line)
+		}
+	}
+	if got, want := c.HitRate(), rc.HitRate(); got != want {
+		t.Fatalf("op %d: %d-way HitRate() = %v, reference %v", i, diffCacheWays[ci], got, want)
 	}
 	if got, want := r.dir.Lines(), r.ref.Lines(); got != want {
 		t.Fatalf("op %d: Lines() = %d, reference %d", i, got, want)
@@ -125,6 +162,22 @@ func (r *diffRig) step(i int, b []byte) {
 	}
 	if got, want := r.tlb.HitRate(), r.rtlb.HitRate(); got != want {
 		t.Fatalf("op %d: TLB HitRate() = %v, reference %v", i, got, want)
+	}
+}
+
+func (r *diffRig) cacheLookup(i, ci int, line Addr) bool {
+	got, want := r.cache[ci].Lookup(line), r.rcache[ci].Lookup(line)
+	if got != want {
+		r.t.Fatalf("op %d: %d-way Lookup(%#x) = %v, reference %v", i, diffCacheWays[ci], line, got, want)
+	}
+	return got
+}
+
+func (r *diffRig) cacheFill(i, ci int, line Addr) {
+	ev, was := r.cache[ci].Fill(line)
+	rev, rwas := r.rcache[ci].Fill(line)
+	if ev != rev || was != rwas {
+		r.t.Fatalf("op %d: %d-way Fill(%#x) = (%#x, %v), reference (%#x, %v)", i, diffCacheWays[ci], line, ev, was, rev, rwas)
 	}
 }
 
@@ -141,9 +194,9 @@ func runDiff(t *testing.T, data []byte) {
 	}
 }
 
-// TestDenseTablesMatchReference drives the dense directory, TLB and
-// hierarchy and their map-based references with the same seeded random
-// op streams, comparing every result after every op.
+// TestDenseTablesMatchReference drives the dense directory, TLB,
+// hierarchy and recency-ordered caches and their references with the
+// same seeded random op streams, comparing every result after every op.
 func TestDenseTablesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	streams, ops := 40, 20_000
@@ -173,5 +226,7 @@ func FuzzDenseTables(f *testing.F) {
 	f.Add([]byte{63, 1, opOnWrite, 0, 0, 1, 0, opHierAccess, 0x81, 0, 1, 0, opDMARead, 0, 0, 1, 0})
 	f.Add([]byte{3, 0, opTLBAccessRange, 200, 1, 0, 0, opTLBAccessRange, 200, 3, 0, 0, opTLBFlush, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, opDMAWrite, 0, 3, 255, 255, opOnEvict, 1, 3, 255, 255, opHasCopy, 2, 2, 7, 7})
+	f.Add([]byte{0, 0, opCacheFill, 1, 0, 0, 0, opCacheFill, 1, 0, 8, 0, opCacheLookup, 1, 0, 0, 0,
+		opCacheFill, 1, 0, 16, 0, opCacheInvalidate, 1, 0, 0, 0, opCacheFill, 1, 0, 24, 0})
 	f.Fuzz(runDiff)
 }

@@ -115,6 +115,39 @@ func TestCacheRefillExistingLineDoesNotEvict(t *testing.T) {
 	}
 }
 
+// TestCacheTagRange checks the edge of the 32-bit tag: the highest line
+// number a tag holds round-trips through a fill and an eviction, and the
+// next line panics in every operation instead of aliasing a low line.
+func TestCacheTagRange(t *testing.T) {
+	c := NewCache(CacheCfg{Name: "t", Size: LineSize, Ways: 1, LineSize: LineSize})
+	top := Addr(maxTagLine) << LineShift
+	c.Fill(top)
+	if !c.Lookup(top) {
+		t.Fatal("miss on the highest taggable line after fill")
+	}
+	if evicted, was := c.Fill(0); !was || evicted != top {
+		t.Fatalf("Fill(0) evicted (%#x, %v), want (%#x, true)", evicted, was, top)
+	}
+	beyond := top + LineSize
+	for name, op := range map[string]func(){
+		"Lookup":     func() { c.Lookup(beyond) },
+		"Fill":       func() { c.Fill(beyond) },
+		"Invalidate": func() { c.Invalidate(beyond) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(%#x) did not panic", name, beyond)
+				}
+			}()
+			op()
+		}()
+	}
+	if !c.Lookup(0) {
+		t.Fatal("line 0 lost after out-of-range operations")
+	}
+}
+
 func TestDirectoryReadWriteInvalidation(t *testing.T) {
 	d := NewDirectory(2)
 	line := Addr(0x40)

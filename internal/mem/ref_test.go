@@ -1,8 +1,11 @@
 package mem
 
+import "fmt"
+
 // Reference implementations for the differential tests: the map-based
 // coherence directory, TLB and hierarchy access path that the dense
-// tables replaced. They are kept verbatim in behaviour and must not be
+// tables replaced, and the tick-LRU cache that the recency-ordered tag
+// arrays replaced. They are kept verbatim in behaviour and must not be
 // optimised; diff_test.go checks the fast paths against them.
 
 type refDirectory struct {
@@ -161,12 +164,12 @@ func (t *refTLB) HitRate() float64 {
 // directory entry once: three separate directory lookups per access.
 type refHierarchy struct {
 	cpu         int
-	l1, l2, llc *Cache
+	l1, l2, llc *refCache
 	dir         *refDirectory
 }
 
 func newRefHierarchy(cpu int, l1, l2, llc CacheCfg, dir *refDirectory) *refHierarchy {
-	return &refHierarchy{cpu: cpu, l1: NewCache(l1), l2: NewCache(l2), llc: NewCache(llc), dir: dir}
+	return &refHierarchy{cpu: cpu, l1: newRefCache(l1), l2: newRefCache(l2), llc: newRefCache(llc), dir: dir}
 }
 
 func (h *refHierarchy) Access(addr Addr, write bool) AccessResult {
@@ -202,4 +205,114 @@ func (h *refHierarchy) Access(addr Addr, write bool) AccessResult {
 		h.dir.OnRead(h.cpu, line)
 	}
 	return res
+}
+
+type refCacheLine struct {
+	tag   Addr // line-aligned address
+	valid bool
+	lru   uint64
+}
+
+// refCache is the set-associative cache as an array of 24-byte lines
+// with a per-cache tick stamped on every hit and fill; the victim is an
+// invalid way if there is one, else the way with the oldest tick.
+type refCache struct {
+	cfg     CacheCfg
+	sets    [][]refCacheLine
+	mask    Addr
+	tick    uint64
+	hits    uint64
+	lookups uint64
+}
+
+func newRefCache(cfg CacheCfg) *refCache {
+	if cfg.LineSize != LineSize {
+		panic(fmt.Sprintf("mem: cache %q line size %d unsupported", cfg.Name, cfg.LineSize))
+	}
+	nLines := cfg.Size / cfg.LineSize
+	if cfg.Ways <= 0 || nLines <= 0 || nLines%cfg.Ways != 0 {
+		panic(fmt.Sprintf("mem: cache %q bad geometry size=%d ways=%d", cfg.Name, cfg.Size, cfg.Ways))
+	}
+	nSets := nLines / cfg.Ways
+	if nSets&(nSets-1) != 0 {
+		panic(fmt.Sprintf("mem: cache %q set count %d not a power of two", cfg.Name, nSets))
+	}
+	sets := make([][]refCacheLine, nSets)
+	backing := make([]refCacheLine, nLines)
+	for i := range sets {
+		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	}
+	return &refCache{cfg: cfg, sets: sets, mask: Addr(nSets - 1)}
+}
+
+func (c *refCache) set(line Addr) []refCacheLine {
+	return c.sets[(line>>LineShift)&c.mask]
+}
+
+func (c *refCache) Lookup(line Addr) bool {
+	c.lookups++
+	c.tick++
+	set := c.set(line)
+	for i := range set {
+		if set[i].valid && set[i].tag == line {
+			set[i].lru = c.tick
+			c.hits++
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(line Addr) (evicted Addr, wasValid bool) {
+	c.tick++
+	set := c.set(line)
+	victim := 0
+	for i := range set {
+		if set[i].valid && set[i].tag == line {
+			// Already present (e.g. refill after a lazy invalidation):
+			// refresh recency only.
+			set[i].lru = c.tick
+			return 0, false
+		}
+		if !set[i].valid {
+			victim = i
+			wasValid = false
+			// Prefer an invalid way, but keep scanning for an existing
+			// copy of the line.
+			continue
+		}
+		if set[victim].valid && set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	if set[victim].valid {
+		evicted, wasValid = set[victim].tag, true
+	}
+	set[victim] = refCacheLine{tag: line, valid: true, lru: c.tick}
+	return evicted, wasValid
+}
+
+func (c *refCache) Invalidate(line Addr) {
+	set := c.set(line)
+	for i := range set {
+		if set[i].valid && set[i].tag == line {
+			set[i].valid = false
+			return
+		}
+	}
+}
+
+func (c *refCache) Flush() {
+	for _, set := range c.sets {
+		for i := range set {
+			set[i].valid = false
+		}
+	}
+}
+
+func (c *refCache) HitRate() float64 {
+	if c.lookups == 0 {
+		return 0
+	}
+	return float64(c.hits) / float64(c.lookups)
 }

@@ -113,7 +113,7 @@ func TestRxFrameReachesStackOnCPU0(t *testing.T) {
 func TestRxDMAInvalidatesCPUCopies(t *testing.T) {
 	r := newRig(t)
 	// Pre-warm the buffer that will receive the first frame on CPU1.
-	buf := r.n.queues[0].ring.free[0].buf
+	buf := r.n.queues[0].ring.free.At(0).buf
 	r.k.CPUs[1].Model.Hierarchy().WarmRange(buf, 1460)
 	if !r.k.Dir.HasCopy(1, mem.LineOf(buf)) {
 		t.Fatal("warmup did not install copies")

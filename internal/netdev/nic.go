@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apic"
+	"repro/internal/fifo"
 	"repro/internal/kern"
 	"repro/internal/mem"
 	"repro/internal/perf"
@@ -347,21 +348,18 @@ func (n *NIC) StallQueued() int { return len(n.stallQ) }
 // TxResident reports transmit requests still inside the device (queued,
 // on the wire, or awaiting clean).
 func (n *NIC) TxResident() int {
-	return len(n.txRing.queued) + len(n.txRing.doneStage) + len(n.txRing.done)
+	r := n.txRing
+	return r.queued.Len() + r.doneStage.Len() + r.done.Len()
 }
 
 // ForEachTxCookie invokes fn with the caller-supplied cookie of every
 // transmit request still resident in the device. Invariant checks use
 // it to attribute in-flight buffers to their pools.
 func (n *NIC) ForEachTxCookie(fn func(cookie any)) {
-	for _, e := range n.txRing.queued {
-		fn(e.req.Cookie)
-	}
-	for _, e := range n.txRing.doneStage {
-		fn(e.req.Cookie)
-	}
-	for _, e := range n.txRing.done {
-		fn(e.req.Cookie)
+	for _, q := range [...]*fifo.Queue[txEntry]{&n.txRing.queued, &n.txRing.doneStage, &n.txRing.done} {
+		for i := 0; i < q.Len(); i++ {
+			fn(q.At(i).req.Cookie)
+		}
 	}
 }
 
@@ -698,19 +696,24 @@ type txSlot struct {
 }
 
 // txRing is the transmit descriptor ring: reserve → commit → (wire) →
-// done → clean/release.
+// done → clean/release. A request holds its reserved slot until release,
+// so each stage's FIFO holds at most capacity entries.
 type txRing struct {
 	capacity  int
 	descBase  mem.Addr
 	seq       int
 	inUse     int
-	queued    []txEntry
-	doneStage []txEntry // on the wire
-	done      []txEntry
+	queued    fifo.Queue[txEntry]
+	doneStage fifo.Queue[txEntry] // on the wire
+	done      fifo.Queue[txEntry]
 }
 
 func newTxRing(capacity int, descBase mem.Addr) *txRing {
-	return &txRing{capacity: capacity, descBase: descBase}
+	return &txRing{capacity: capacity, descBase: descBase,
+		queued:    fifo.New[txEntry](capacity),
+		doneStage: fifo.New[txEntry](capacity),
+		done:      fifo.New[txEntry](capacity),
+	}
 }
 
 func (r *txRing) free() int { return r.capacity - r.inUse }
@@ -726,28 +729,29 @@ func (r *txRing) reserve() (txSlot, bool) {
 }
 
 func (r *txRing) commit(index int, req TxReq) {
-	r.queued = append(r.queued, txEntry{req: req, descAddr: r.descBase + mem.Addr(index*descBytes)})
+	r.queued.Push(txEntry{req: req, descAddr: r.descBase + mem.Addr(index*descBytes)})
 }
 
 func (r *txRing) popQueued() (TxReq, bool) {
-	if len(r.queued) == 0 {
+	e, ok := r.queued.Pop()
+	if !ok {
 		return TxReq{}, false
 	}
-	e := r.queued[0]
-	r.queued = r.queued[1:]
-	r.doneStage = append(r.doneStage, e)
+	r.doneStage.Push(e)
 	return e.req, true
 }
 
 // markDone moves the oldest in-flight frame to the clean list. The
 // transmit engine is strictly serial, so FIFO order is exact.
 func (r *txRing) markDone(TxReq) {
-	e := r.doneStage[0]
-	r.doneStage = r.doneStage[1:]
-	r.done = append(r.done, e)
+	e, ok := r.doneStage.Pop()
+	if !ok {
+		panic("netdev: tx completion with nothing on the wire")
+	}
+	r.done.Push(e)
 }
 
-func (r *txRing) pendingClean() int { return len(r.done) }
+func (r *txRing) pendingClean() int { return r.done.Len() }
 
 type txCleanSlot struct {
 	index    int
@@ -756,11 +760,10 @@ type txCleanSlot struct {
 }
 
 func (r *txRing) nextClean() (txCleanSlot, bool) {
-	if len(r.done) == 0 {
+	e, ok := r.done.Pop()
+	if !ok {
 		return txCleanSlot{}, false
 	}
-	e := r.done[0]
-	r.done = r.done[1:]
 	return txCleanSlot{descAddr: e.descAddr, cookie: e.req.Cookie}, true
 }
 
@@ -775,27 +778,31 @@ type rxSlot struct {
 }
 
 // rxRing is the receive descriptor ring: post/refill → DMA fill → clean.
+// post refuses to hold more than capacity buffers across both FIFOs.
 type rxRing struct {
 	capacity int
 	descBase mem.Addr
 	seq      int
-	free     []rxSlot
-	filled   []rxSlot
+	free     fifo.Queue[rxSlot]
+	filled   fifo.Queue[rxSlot]
 }
 
 func newRxRing(capacity int, descBase mem.Addr) *rxRing {
-	return &rxRing{capacity: capacity, descBase: descBase}
+	return &rxRing{capacity: capacity, descBase: descBase,
+		free:   fifo.New[rxSlot](capacity),
+		filled: fifo.New[rxSlot](capacity),
+	}
 }
 
-func (r *rxRing) posted() int { return len(r.free) }
+func (r *rxRing) posted() int { return r.free.Len() }
 
 func (r *rxRing) post(buf mem.Addr, cookie any) {
-	if len(r.free)+len(r.filled) >= r.capacity {
+	if r.free.Len()+r.filled.Len() >= r.capacity {
 		panic("netdev: rx ring over-posted")
 	}
 	idx := r.seq % r.capacity
 	r.seq++
-	r.free = append(r.free, rxSlot{
+	r.free.Push(rxSlot{
 		index:    idx,
 		descAddr: r.descBase + mem.Addr(idx*descBytes),
 		buf:      buf,
@@ -808,23 +815,15 @@ func (r *rxRing) refill(index int, buf mem.Addr, cookie any) {
 }
 
 func (r *rxRing) fill(f WireFrame) (rxSlot, bool) {
-	if len(r.free) == 0 {
+	s, ok := r.free.Pop()
+	if !ok {
 		return rxSlot{}, false
 	}
-	s := r.free[0]
-	r.free = r.free[1:]
 	s.frame = f
-	r.filled = append(r.filled, s)
+	r.filled.Push(s)
 	return s, true
 }
 
-func (r *rxRing) pendingClean() int { return len(r.filled) }
+func (r *rxRing) pendingClean() int { return r.filled.Len() }
 
-func (r *rxRing) nextClean() (rxSlot, bool) {
-	if len(r.filled) == 0 {
-		return rxSlot{}, false
-	}
-	s := r.filled[0]
-	r.filled = r.filled[1:]
-	return s, true
-}
+func (r *rxRing) nextClean() (rxSlot, bool) { return r.filled.Pop() }

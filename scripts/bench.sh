@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark harness: run the scheduler/coroutine/timer microbenchmarks
-# across -cpu 1,2,4, the memory-model microbenchmarks (hierarchy,
-# coherence directory, TLB), plus the end-to-end sweep benches, and
-# serialize the results to a machine-readable BENCH_<n>.json (ns/op,
-# allocs/op per benchmark) via scripts/bench_compare.go. This file series
+# Benchmark harness: run the scheduler/coroutine/timer/activation
+# microbenchmarks across -cpu 1,2,4, the memory-model microbenchmarks
+# (hierarchy, coherence directory, TLB, caches), plus the end-to-end
+# sweep benches, and serialize the results to a machine-readable
+# BENCH_<n>.json (ns/op, allocs/op per benchmark) via
+# scripts/bench_compare.go. This file series
 # is the repository's recorded performance trajectory; CI regenerates it
 # on every change and fails when a benchmark's ns/op exceeds 2x the
 # committed baseline (`bench_compare compare -threshold 2.0`) or its
@@ -22,7 +23,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== microbenchmarks (internal/sim, internal/kern) =="
 go test ./internal/sim ./internal/kern \
-    -run XXX -bench 'Engine|Coro|Timer|RNG' -benchmem -count 1 -cpu 1,2,4 \
+    -run XXX -bench 'Engine|Coro|Timer|RNG|EnvRun' -benchmem -count 1 -cpu 1,2,4 \
     | tee "$TMP/bench.txt"
 
 echo "== memory-model microbenchmarks (internal/mem) =="
