@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -70,21 +71,32 @@ func RunControlled(cfg Config, cancel *Cancel, maxCycles uint64) *Result {
 		r = m.Measure(cfg.MeasureCycles)
 	}
 	if m.Eng.Interrupted() {
-		r.Aborted = true
-		if cancel.Cancelled() {
-			r.AbortReason = AbortCancelled
-		} else {
-			r.AbortReason = AbortCycleBudget
-		}
-		return r
+		return aborted(r, cancel)
 	}
 	// Only a run that completed its windows is worth invariant-checking;
-	// this mirrors Run's faulted-run epilogue.
+	// this mirrors Run's faulted-run epilogue. The drain is part of the
+	// run, so the cancel flag and the cycle budget bind it too.
 	if !cfg.Faults.Empty() && m.WL.Quiescible() {
+		err := m.CheckInvariants()
+		if errors.Is(err, errDrainInterrupted) {
+			return aborted(r, cancel)
+		}
 		r.InvariantsChecked = true
-		if err := m.CheckInvariants(); err != nil {
+		if err != nil {
 			r.InvariantViolation = err.Error()
 		}
+	}
+	return r
+}
+
+// aborted marks r as cut short by cancel or, failing that, by the cycle
+// budget.
+func aborted(r *Result, cancel *Cancel) *Result {
+	r.Aborted = true
+	if cancel.Cancelled() {
+		r.AbortReason = AbortCancelled
+	} else {
+		r.AbortReason = AbortCycleBudget
 	}
 	return r
 }

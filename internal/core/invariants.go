@@ -1,6 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// errDrainInterrupted reports an invariant drain stopped by the engine's
+// interrupt before the machine quiesced: the run was aborted, not found
+// wrong.
+var errDrainInterrupted = errors.New("core: invariant drain interrupted")
 
 // Drain parameters for CheckInvariants: the machine gets up to
 // drainBudgetCycles of extra virtual time (in drainSliceCycles steps)
@@ -30,7 +38,16 @@ const (
 // It consumes virtual time and mutates the workload (processes are
 // stopped), so call it after the last measurement window. Run does so
 // automatically for faulted configurations.
+//
+// A workload that cannot quiesce (Workload.Quiescible false) is refused
+// at once rather than after the whole drain budget. A drain cut short by
+// the engine's interrupt (SetInterrupt: cancel flag or cycle budget)
+// returns errDrainInterrupted; the engine then refuses to advance, so
+// draining on would never end.
 func (m *Machine) CheckInvariants() error {
+	if !m.WL.Quiescible() {
+		return fmt.Errorf("core: workload %q cannot quiesce; invariants are undefined", m.WL.Name())
+	}
 	for _, p := range m.Procs {
 		p.Stop()
 	}
@@ -40,6 +57,9 @@ func (m *Machine) CheckInvariants() error {
 	deadline := m.Eng.Now() + drainBudgetCycles
 	for m.Eng.Now() < deadline && m.stuck() != "" {
 		m.Eng.Run(m.Eng.Now() + drainSliceCycles)
+		if m.Eng.Interrupted() {
+			return errDrainInterrupted
+		}
 	}
 	if s := m.stuck(); s != "" {
 		return fmt.Errorf("core: machine did not quiesce within %d cycles: %s", uint64(drainBudgetCycles), s)

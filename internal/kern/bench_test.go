@@ -58,9 +58,10 @@ func BenchmarkSpinLockUncontended(b *testing.B) {
 }
 
 // BenchmarkEnvRunActivation measures the activation machinery alone: an
-// empty work item with no interrupt pending, so each op is Begin and
-// Finish, the completion event, the boundary and two coroutine switches.
-// It allocates nothing.
+// empty work item with no interrupt pending on a machine with nothing
+// else to do, so each op is Begin and Finish and an inline completion
+// (Engine.Elapse) — no event is queued and no coroutine switches. It
+// allocates nothing.
 func BenchmarkEnvRunActivation(b *testing.B) {
 	eng := sim.NewEngine(1)
 	tab := perf.NewSymbolTable()
@@ -81,4 +82,38 @@ func BenchmarkEnvRunActivation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run(sim.Forever - 1)
+}
+
+// BenchmarkEnvRunActivationParked measures the parked activation: two
+// processors' tasks run equal work items in lockstep, so each one's
+// completion is never the engine's next event and every activation
+// takes the full path — Begin and Finish, the completion event, the
+// boundary and two coroutine switches. An op is one activation. It
+// allocates nothing.
+func BenchmarkEnvRunActivationParked(b *testing.B) {
+	eng := sim.NewEngine(1)
+	tab := perf.NewSymbolTable()
+	ctr := perf.NewCounters(tab, 2)
+	k := New(Config{
+		Engine: eng, Space: mem.NewSpace(), Table: tab, Ctr: ctr,
+		NumCPUs: 2, CPU: cpu.DefaultConfig(), Tune: DefaultTuning(),
+	})
+	defer k.Shutdown()
+	p := k.NewProc("bench_fn", perf.BinOther, 512)
+	n := 0
+	for c := 0; c < 2; c++ {
+		k.Spawn("bench", c, 1<<c, func(e *Env) {
+			for n < b.N {
+				e.Run(p, func(x *cpu.Exec) { x.Instr(100, 0, 0) })
+				n++
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(sim.Forever - 1)
+	b.StopTimer()
+	if eng.Elapsed() != 0 {
+		b.Fatalf("%d of %d activations completed inline, want all parked", eng.Elapsed(), n)
+	}
 }

@@ -302,7 +302,8 @@ func (c *KCPU) boundary(env *Env) {
 // spinlocks), then honours preemption, and finally resumes the work's
 // context.
 func (c *KCPU) boundaryCont(env *Env) {
-	if env.softirq || env.locksHeld > 0 {
+	if c.resumesAtBoundary(env) {
+		c.leaveBoundary(env)
 		env.resume()
 		return
 	}
@@ -311,22 +312,41 @@ func (c *KCPU) boundaryCont(env *Env) {
 		c.startSoftirqd()
 		return
 	}
-	if c.needResched {
-		c.needResched = false
-		if c.curr != nil && len(c.rq) > 0 {
-			// Reschedule requested (quantum expiry or a resched IPI
-			// for a better-goodness waiter) with waiting work:
-			// round-robin.
-			t := c.curr
-			t.state = TaskRunnable
-			c.curr = nil
-			c.rq = append(c.rq, t)
-			c.state = stSched
-			c.schedule()
-			return
-		}
+	// Reschedule requested (quantum expiry or a resched IPI for a
+	// better-goodness waiter) with waiting work: round-robin.
+	c.needResched = false
+	t := c.curr
+	t.state = TaskRunnable
+	c.curr = nil
+	c.rq = append(c.rq, t)
+	c.state = stSched
+	c.schedule()
+}
+
+// resumesAtBoundary reports whether the boundary after a work item of
+// env, with no interrupt queued, hands straight back to env's context:
+// a softirq daemon or a context holding spinlocks always continues;
+// otherwise no bottom half may be runnable here and no reschedule
+// request may have a task waiting for the processor. Env.Run asks it
+// before the completion fires (to complete inline), boundaryCont after.
+func (c *KCPU) resumesAtBoundary(env *Env) bool {
+	if env.softirq || env.locksHeld > 0 {
+		return true
 	}
-	env.resume()
+	if c.softPend != 0 && c.bhDisable == 0 {
+		return false
+	}
+	return !c.needResched || c.curr == nil || len(c.rq) == 0
+}
+
+// leaveBoundary applies the one side effect of a boundary that resumes
+// env's context: a reschedule request with no task waiting is dropped.
+// A softirq daemon or a context holding spinlocks cannot be preempted,
+// so its boundary leaves the request pending.
+func (c *KCPU) leaveBoundary(env *Env) {
+	if !env.softirq && env.locksHeld == 0 {
+		c.needResched = false
+	}
 }
 
 // schedule picks the next task (running the context-switch cost) or goes

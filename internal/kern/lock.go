@@ -117,7 +117,9 @@ func (l *SpinLock) Unlock(env *Env) {
 			l.k.Trace.LockSpin(now, w.env.cpu.id, l.name, uint64(spun))
 			w.env.cpu.Model.Spin(l.proc.Sym, spun)
 			w.env.cpu.lastSym = l.proc.Sym
-			w.env.co.Resume()
+			// Through resumeContext, so a task that runs on inline to
+			// the end of its body is reaped.
+			w.env.cpu.resumeContext(w.env)
 		})
 	} else {
 		l.held = false

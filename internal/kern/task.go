@@ -123,6 +123,17 @@ func (e *Env) Run(proc Proc, build func(x *cpu.Exec)) {
 		c.pendingClears = 0
 	}
 	c.lastSym = proc.Sym
+	// Inline completion: when no interrupt is queued, the boundary
+	// would resume this context straight away, and the completion is
+	// provably the engine's next event (Elapse), the clock advances and
+	// Run returns without parking. Checking now is checking at fire
+	// time: no event fires in between, interrupts are queued only by
+	// events or by the activation itself (already built), and the
+	// resumer that handed control here returns straight to the engine.
+	if c.irqQ.Len() == 0 && c.resumesAtBoundary(e) && c.k.Eng.Elapse(cycles) {
+		c.leaveBoundary(e)
+		return
+	}
 	c.k.Eng.After(cycles, e.complete)
 	e.co.Park()
 }

@@ -40,6 +40,29 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	e.Run(Forever - 1)
 }
 
+// BenchmarkEngineElapse measures an in-place completion: each op is one
+// continuation d cycles on, completed by Elapse, or — once in about
+// bandBuckets/d, when the window must advance — by the schedule+fire
+// round trip it otherwise replaces.
+func BenchmarkEngineElapse(b *testing.B) {
+	e := NewEngine(1)
+	n := 0
+	var step func()
+	step = func() {
+		for n < b.N {
+			n++
+			if !e.Elapse(10) {
+				e.After(10, step)
+				return
+			}
+		}
+	}
+	e.At(0, step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(Forever - 1)
+}
+
 // BenchmarkEngineCancelChurn measures the arm/cancel pattern TCP timers
 // produce: events scheduled and cancelled without ever firing, relying on
 // lazy compaction to keep the queue lean.

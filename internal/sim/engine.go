@@ -211,6 +211,14 @@ type Engine struct {
 	stop        *atomic.Bool
 	stopAt      Time
 	interrupted bool
+
+	// running is set while Run or Drain executes events, and horizon is
+	// that call's until (Forever for Drain): Elapse may complete an
+	// event in place only inside a run and within its horizon. elapsed
+	// counts the events it completed so.
+	running bool
+	horizon Time
+	elapsed uint64
 }
 
 // SetTrace installs a hook invoked before every event executes, with the
@@ -485,6 +493,63 @@ func (e *Engine) After(d Cycles, fn func()) *Event {
 	return e.At(e.now+Time(d), fn)
 }
 
+// Elapse performs, in place, an event that would be scheduled d cycles
+// from now and whose callback would only continue the caller: when that
+// event is provably the next one to fire, the clock advances to it and
+// Elapse returns true, leaving the engine exactly as After(d, fn)
+// followed by the drain that fires it would — the same clock, sequence
+// number, Stats, Pending and trace-hook calls — minus the round trip.
+// The caller then continues as the callback would have.
+//
+// It refuses (returns false, changing nothing) unless a Run or Drain is
+// in progress and not halted, now+d lies within the run's horizon and
+// the SetInterrupt budget, the stop flag is clear, d and now+d fall in
+// the near-horizon band (so every heap event is later), and no stored band
+// bucket, cancelled events included, lies at or before now+d. A
+// cancelled event the drain would pass over still counts: draining it
+// changes the counts later compaction decisions read. On refusal the
+// caller schedules the event as usual.
+//
+// The equivalence holds only if nothing runs between the call and the
+// moment the event would fire except the engine's own drain: the caller
+// must be about to hand control straight back to the engine.
+func (e *Engine) Elapse(d Cycles) bool {
+	t := e.now + Time(d)
+	// d < bandBuckets as well as t in the band: scanBand reads bucket
+	// times relative to now, so only then would the drain find this
+	// event at t. (A Run that stops at its horizon after advancing the
+	// window can leave bandBase above now.)
+	if !e.running || e.halted || t > e.horizon || t > e.stopAt ||
+		d >= bandBuckets || t-e.bandBase >= bandBuckets {
+		return false
+	}
+	if e.stop != nil && e.stop.Load() {
+		return false
+	}
+	if e.bandCount > 0 {
+		if first, ok := e.scanBand(); ok && first <= t {
+			return false
+		}
+	}
+	e.now = t
+	e.seq++
+	e.stats.Scheduled++
+	e.stats.BandScheduled++
+	if e.live >= e.stats.PeakPending {
+		e.stats.PeakPending = e.live + 1
+	}
+	e.fired++
+	e.elapsed++
+	if e.trace != nil {
+		e.trace(t, e.fired)
+	}
+	return true
+}
+
+// Elapsed reports how many events Elapse completed in place. They are
+// also counted in Fired and Stats, exactly as queued events are.
+func (e *Engine) Elapsed() uint64 { return e.elapsed }
+
 // Halt stops Run before the next event would fire. It is the cooperative
 // way for an experiment to end a run at a condition rather than a time.
 func (e *Engine) Halt() { e.halted = true }
@@ -565,8 +630,12 @@ func (e *Engine) next() (Time, bool) {
 // drainBucket executes every event in now's bucket in one batched pass:
 // same-cycle events — including ones scheduled by the events themselves —
 // fire back to back without re-probing the queue, in exact seq order.
-func (e *Engine) drainBucket(b int) {
+// The bucket is re-read from now on every pass: when a callback moved
+// the clock with Elapse, the drain goes on with the new now's bucket,
+// exactly as the drain that fired the elapsed event would have.
+func (e *Engine) drainBucket() {
 	for {
+		b := int(e.now) & bandMask
 		p := e.heads[b]
 		if p == 0 {
 			return
@@ -608,6 +677,9 @@ func (e *Engine) drainBucket(b int) {
 // math sees the full interval even if the system went idle), or the time
 // of the last fired event when Halt ended the run early.
 func (e *Engine) Run(until Time) Time {
+	running, horizon := e.running, e.horizon
+	e.running, e.horizon = true, until
+	defer func() { e.running, e.horizon = running, horizon }()
 	e.halted = false
 	e.interrupted = false
 	for !e.halted {
@@ -624,7 +696,7 @@ func (e *Engine) Run(until Time) Time {
 			break
 		}
 		e.now = t
-		e.drainBucket(int(t) & bandMask)
+		e.drainBucket()
 		if e.interrupted {
 			break
 		}
@@ -643,6 +715,9 @@ func (e *Engine) Run(until Time) Time {
 // reports each fired event to the SetTrace hook, so a consumer observing
 // the run sees teardown events too.
 func (e *Engine) Drain() {
+	running, horizon := e.running, e.horizon
+	e.running, e.horizon = true, Forever
+	defer func() { e.running, e.horizon = running, horizon }()
 	e.halted = false
 	e.interrupted = false
 	for !e.halted {
@@ -657,7 +732,7 @@ func (e *Engine) Drain() {
 			return
 		}
 		e.now = t
-		e.drainBucket(int(t) & bandMask)
+		e.drainBucket()
 		if e.interrupted {
 			return
 		}
