@@ -11,8 +11,7 @@ import (
 // facade — the §5 scaling scenario beyond the measured 2P box.
 func quadConfig(mode affinity.Mode) affinity.Config {
 	cfg := affinity.DefaultConfig(mode, affinity.TX, 65536)
-	t := affinity.Uniform(4, 8, 1)
-	cfg.Topology = &t
+	cfg.Topology = affinity.Uniform(4, 8, 1)
 	cfg.WarmupCycles = 10_000_000
 	cfg.MeasureCycles = 40_000_000
 	return cfg
@@ -65,12 +64,10 @@ func TestRSSViaFacade(t *testing.T) {
 	base.MeasureCycles = 40_000_000
 
 	single := base
-	t1 := shape(1)
-	single.Topology = &t1
+	single.Topology = shape(1)
 
 	rss := base
-	t4 := shape(4)
-	rss.Topology = &t4
+	rss.Topology = shape(4)
 	pol, err := affinity.PolicyByName("rss")
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 type simTime = sim.Time
@@ -350,7 +351,9 @@ func BenchmarkAblation_RotateIRQ(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := benchConfig(affinity.ModeNone, affinity.TX, 65536)
-			cfg.RotateIRQs = rotate
+			if rotate {
+				cfg.Policy = topo.Rotate{}
+			}
 			r := runOnce(b, cfg)
 			b.ReportMetric(r.Mbps, "Mbps")
 			b.ReportMetric(r.CostGHzPerGbps, "GHz/Gbps")

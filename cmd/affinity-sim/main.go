@@ -156,10 +156,9 @@ func main() {
 	if *rtoMax != 0 {
 		cfg.TCP.RTOMaxCycles = *rtoMax
 	}
-	if *cpus != 2 || *nics != 8 || *queues != 1 || *conns != 0 {
-		t := affinity.Uniform(*cpus, *nics, *queues)
-		t.Conns = *conns
-		cfg.Topology = &t
+	if cfg.Topology, err = topology(*cpus, *nics, *queues, *conns); err != nil {
+		fmt.Fprintln(os.Stderr, "affinity-sim:", err)
+		os.Exit(2)
 	}
 	if *policyFlag != "" {
 		pol, err := affinity.ParsePolicy(*policyFlag)
@@ -180,7 +179,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
 			os.Exit(2)
 		}
-		t := cfg.Topo()
+		t := cfg.Topology
 		if err := sched.Validate(len(t.NICs), t.NumCPUs, cfg.WarmupCycles+cfg.MeasureCycles); err != nil {
 			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
 			os.Exit(2)
@@ -327,4 +326,15 @@ func main() {
 			fmt.Print(tab.Format())
 		}
 	}
+}
+
+// topology resolves the machine-shape flags, rejecting a non-positive
+// CPU, NIC or queue count.
+func topology(cpus, nics, queues, conns int) (affinity.Topology, error) {
+	if cpus <= 0 || nics <= 0 || queues <= 0 {
+		return affinity.Topology{}, fmt.Errorf("-cpus %d -nics %d -queues %d: each must be positive", cpus, nics, queues)
+	}
+	t := affinity.Uniform(cpus, nics, queues)
+	t.Conns = conns
+	return t, nil
 }

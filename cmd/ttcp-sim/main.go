@@ -52,14 +52,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *conns <= 0 {
+		fmt.Fprintln(os.Stderr, "ttcp-sim: -conns must be positive")
+		os.Exit(2)
+	}
+
 	cfg := affinity.DefaultConfig(mode, dir, *length)
 	cfg.Seed = *seed
-	cfg.NumNICs = *conns
+	cfg.Topology = affinity.Uniform(cfg.Topology.NumCPUs, *conns, 1)
 	cfg.MeasureCycles = uint64(*seconds * float64(cfg.CPU.ClockHz))
-	cfg.RecordLatency = *latency
 
 	m := affinity.NewMachine(cfg)
 	defer m.Shutdown()
+	for _, p := range m.Procs {
+		p.RecordLatency = *latency
+	}
 	m.Eng.Run(sim.Time(cfg.WarmupCycles))
 	r := m.Measure(cfg.MeasureCycles)
 

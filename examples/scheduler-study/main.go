@@ -46,6 +46,7 @@ func quick(cfg affinity.Config) affinity.Config {
 
 func sizeSweep() {
 	sizes := affinity.Sizes()
+	rotate, _ := affinity.PolicyByName("rotate")
 	fmt.Println("dir,size,mode,mbps,util,cost_ghz_per_gbps")
 
 	for _, dir := range []affinity.Direction{affinity.TX, affinity.RX} {
@@ -63,7 +64,7 @@ func sizeSweep() {
 			// redistribution fixes the CPU0 bottleneck but keeps cache
 			// inefficiencies, and pays for TPR updates.
 			cfg := affinity.DefaultConfig(affinity.ModeNone, dir, size)
-			cfg.RotateIRQs = true
+			cfg.Policy = rotate
 			add("Rotate IRQ", cfg)
 		}
 		for i, r := range affinity.RunAll(cfgs) {
@@ -87,8 +88,7 @@ func scalingSweep() {
 	for _, cpus := range cpuCounts {
 		for _, mode := range affinity.Modes() {
 			cfg := affinity.DefaultConfig(mode, affinity.TX, 65536)
-			t := affinity.Uniform(cpus, 8, 1)
-			cfg.Topology = &t
+			cfg.Topology = affinity.Uniform(cpus, 8, 1)
 			labels = append(labels, mode.String())
 			cfgs = append(cfgs, quick(cfg))
 		}

@@ -15,7 +15,7 @@ import (
 // stored: the fingerprint already proves the reader's Config agrees on
 // every result-affecting field, so the caller's own Config is
 // reattached on load (this also sidesteps serializing the Policy
-// interface and Topology pointer). Trace and Series never appear here —
+// interface). Trace and Series never appear here —
 // configs carrying them are uncacheable.
 type storedResult struct {
 	ElapsedCycles  uint64

@@ -33,9 +33,8 @@ const fingerprintVersion = "affinity-fp-v4"
 // hashed for completeness).
 var coveredFields = map[string][]string{
 	"core.Config": {
-		"Mode", "Dir", "Size", "NumCPUs", "NumNICs", "Topology", "Policy",
-		"Seed", "WarmupCycles", "MeasureCycles", "RotateIRQs", "SkipWorkload",
-		"ThinkCycles", "RecordLatency", "Trace", "GaugeCycles",
+		"Mode", "Dir", "Size", "Topology", "Policy",
+		"Seed", "WarmupCycles", "MeasureCycles", "Trace", "GaugeCycles",
 		"CPU", "Tune", "TCP", "Faults", "Coalesce", "Workload",
 	},
 	"workload.Spec": {
@@ -57,7 +56,7 @@ var coveredFields = map[string][]string{
 	"topo.Plan":     {"Topo", "Policy", "QueueVectors", "IRQMasks", "ProcMasks", "StartCPUs", "FlowQueues", "RotateIRQs", "FlowDirector"},
 	"netdev.NICConfig": {
 		"Vector", "LinkBps", "TxRing", "RxRing", "CoalesceCycles",
-		"WireLatencyCycles", "LossRate", "NAPI", "QueueVectors", "Coalesce",
+		"WireLatencyCycles", "NAPI", "QueueVectors", "Coalesce",
 	},
 	"netdev.CoalesceConfig": {"Mode", "Usecs", "Frames", "MinUsecs", "MaxUsecs"},
 	"fault.Schedule":        {"Events"},
@@ -95,10 +94,10 @@ func writeFingerprint(w io.Writer, cfg core.Config) {
 	// Identity fields that surface verbatim in rendered artifacts.
 	p("mode=%d dir=%d size=%d seed=%d\n", int(cfg.Mode), int(cfg.Dir), cfg.Size, cfg.Seed)
 
-	// Windows and workload knobs.
-	p("warmup=%d measure=%d think=%d rotate=%t skipwl=%t reclat=%t\n",
-		cfg.WarmupCycles, cfg.MeasureCycles, cfg.ThinkCycles,
-		cfg.RotateIRQs, cfg.SkipWorkload, cfg.RecordLatency)
+	// Windows. The think, rotate, skipwl and reclat knobs were deleted;
+	// the line keeps their only remaining values so existing keys hold.
+	p("warmup=%d measure=%d think=0 rotate=false skipwl=false reclat=false\n",
+		cfg.WarmupCycles, cfg.MeasureCycles)
 
 	// Per-run artifact attachments: uncacheable (Cacheable is false when
 	// set), hashed anyway so the key function is total.
@@ -116,9 +115,8 @@ func writeFingerprint(w io.Writer, cfg core.Config) {
 		p("coalesce=%s\n", cfg.Coalesce.String())
 	}
 
-	// Machine shape, resolved: NumCPUs/NumNICs and an equivalent explicit
-	// Topology hash identically, as they simulate identically.
-	t := cfg.Topo()
+	// Machine shape.
+	t := cfg.Topology
 	p("topo cpus=%d conns=%d domains=%d\n", t.NumCPUs, t.Conns, len(t.Domains))
 	for _, d := range t.Domains {
 		p("domain=%v\n", d)
@@ -127,7 +125,7 @@ func writeFingerprint(w io.Writer, cfg core.Config) {
 		p("nic queues=%d link=%d\n", n.Queues, n.LinkBps)
 	}
 
-	// Placement, resolved through the plan: covers Mode/Policy/RotateIRQs
+	// Placement, resolved through the plan: covers Mode/Policy
 	// interaction and any custom PlacementPolicy's actual output. A shape
 	// the policy rejects hashes its error — the run will fail identically.
 	if plan, err := core.PlanFor(cfg); err != nil {
@@ -139,13 +137,14 @@ func writeFingerprint(w io.Writer, cfg core.Config) {
 		}
 		p("plan.procs masks=%v starts=%v flows=%v\n", plan.ProcMasks, plan.StartCPUs, plan.FlowQueues)
 		// Resolved per-device configuration — exactly what NewMachine
-		// hands each NIC (ring sizes, coalescing, wire latency, loss),
-		// so device-model knobs can never slip past the key.
+		// hands each NIC (ring sizes, coalescing, wire latency), so
+		// device-model knobs can never slip past the key. The device's
+		// loss rate was deleted; loss=0 keeps existing keys.
 		for n := range plan.QueueVectors {
 			nc := core.NICConfigFor(plan, cfg.Coalesce, n)
-			p("nicdev%d vec=%d link=%d tx=%d rx=%d coalesce=%d co=%s wirelat=%d loss=%g napi=%t qvecs=%v\n",
+			p("nicdev%d vec=%d link=%d tx=%d rx=%d coalesce=%d co=%s wirelat=%d loss=0 napi=%t qvecs=%v\n",
 				n, nc.Vector, nc.LinkBps, nc.TxRing, nc.RxRing, nc.CoalesceCycles,
-				nc.Coalesce.String(), nc.WireLatencyCycles, nc.LossRate, nc.NAPI, nc.QueueVectors)
+				nc.Coalesce.String(), nc.WireLatencyCycles, nc.NAPI, nc.QueueVectors)
 		}
 	}
 

@@ -20,7 +20,7 @@ import (
 // TestFingerprintCoversConfig fails when any configuration struct the
 // fingerprint walks grows a field that coveredFields does not list.
 // Adding a field to one of these types REQUIRES deciding how the cache
-// key treats it (hash it, resolve it through Topo()/PlanFor, or gate it
+// key treats it (hash it, resolve it through PlanFor, or gate it
 // as uncacheable) and then recording it in coveredFields — otherwise two
 // configs differing only in the new field would silently share a cache
 // entry.
@@ -78,27 +78,21 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 
 	mutations := map[string]func(*core.Config){
-		"Mode":          func(c *core.Config) { c.Mode = core.ModeFull },
-		"Dir":           func(c *core.Config) { c.Dir = ttcp.RX },
-		"Size":          func(c *core.Config) { c.Size = 128 },
-		"Seed":          func(c *core.Config) { c.Seed = 7 },
-		"WarmupCycles":  func(c *core.Config) { c.WarmupCycles = 1 },
-		"MeasureCycles": func(c *core.Config) { c.MeasureCycles = 1 },
-		"NumCPUs":       func(c *core.Config) { c.NumCPUs = 4 },
-		"NumNICs":       func(c *core.Config) { c.NumNICs = 4 },
-		"Policy":        func(c *core.Config) { c.Policy = topo.RSS{} },
-		"RotateIRQs":    func(c *core.Config) { c.RotateIRQs = true },
-		"SkipWorkload":  func(c *core.Config) { c.SkipWorkload = true },
-		"ThinkCycles":   func(c *core.Config) { c.ThinkCycles = 1000 },
-		"RecordLatency": func(c *core.Config) { c.RecordLatency = true },
-		"CPU.ClockHz":   func(c *core.Config) { c.CPU.ClockHz = 1_000_000_000 },
-		"CPU.Penalty":   func(c *core.Config) { c.CPU.Penalty.LLCMiss = 999 },
-		"Tune":          func(c *core.Config) { c.Tune.WakeAffinity = !c.Tune.WakeAffinity },
-		"TCP":           func(c *core.Config) { c.TCP.MSS = 576 },
-		"Topology": func(c *core.Config) {
-			topo := topo.Uniform(4, 2, 2)
-			c.Topology = &topo
-		},
+		"Mode":             func(c *core.Config) { c.Mode = core.ModeFull },
+		"Dir":              func(c *core.Config) { c.Dir = ttcp.RX },
+		"Size":             func(c *core.Config) { c.Size = 128 },
+		"Seed":             func(c *core.Config) { c.Seed = 7 },
+		"WarmupCycles":     func(c *core.Config) { c.WarmupCycles = 1 },
+		"MeasureCycles":    func(c *core.Config) { c.MeasureCycles = 1 },
+		"Policy":           func(c *core.Config) { c.Policy = topo.RSS{} },
+		"Policy=rotate":    func(c *core.Config) { c.Policy = topo.Rotate{} },
+		"CPU.ClockHz":      func(c *core.Config) { c.CPU.ClockHz = 1_000_000_000 },
+		"CPU.Penalty":      func(c *core.Config) { c.CPU.Penalty.LLCMiss = 999 },
+		"Tune":             func(c *core.Config) { c.Tune.WakeAffinity = !c.Tune.WakeAffinity },
+		"TCP":              func(c *core.Config) { c.TCP.MSS = 576 },
+		"Topology":         func(c *core.Config) { c.Topology = topo.Uniform(4, 2, 2) },
+		"Topology.NumCPUs": func(c *core.Config) { c.Topology.NumCPUs = 4 },
+		"Topology.NICs":    func(c *core.Config) { c.Topology = topo.Uniform(2, 4, 1) },
 		"Faults": func(c *core.Config) {
 			c.Faults = &fault.Schedule{Events: []fault.Event{
 				{Kind: fault.KindLoss, NIC: -1, Rate: 0.01},
@@ -117,19 +111,10 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 }
 
-// TestFingerprintMergesEquivalentShapes pins the deliberate merges: a
-// flat NumCPUs×NumNICs shape and its explicit Topology equivalent, and a
-// Mode and its equivalent explicit Policy, simulate identically and
+// TestFingerprintMergesEquivalentShapes pins the deliberate merge: a
+// Mode and its equivalent explicit Policy simulate identically and
 // render identically, so they share one cache entry.
 func TestFingerprintMergesEquivalentShapes(t *testing.T) {
-	flat := fpCfg()
-	explicit := fpCfg()
-	shape := topo.Uniform(flat.NumCPUs, flat.NumNICs, 1)
-	explicit.Topology = &shape
-	if Fingerprint(flat) != Fingerprint(explicit) {
-		t.Error("equivalent flat and explicit topologies should fingerprint identically")
-	}
-
 	byMode := fpCfg()
 	byPolicy := fpCfg()
 	byPolicy.Policy = topo.None{} // what ModeNone resolves to

@@ -19,9 +19,8 @@ func TestReorderCellColdWarmCacheIdentity(t *testing.T) {
 	cfg := core.DefaultConfig(core.ModeNone, ttcp.RX, 65536)
 	cfg.WarmupCycles = 30_000_000
 	cfg.MeasureCycles = 100_000_000
-	shape := topo.Uniform(2, 1, 2)
-	shape.Conns = 2
-	cfg.Topology = &shape
+	cfg.Topology = topo.Uniform(2, 1, 2)
+	cfg.Topology.Conns = 2
 	pol, err := core.ParsePolicy("flowdirector")
 	if err != nil {
 		t.Fatal(err)

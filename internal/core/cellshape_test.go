@@ -84,8 +84,7 @@ func (s cellShape) config(t *testing.T) Config {
 	cfg.WarmupCycles = 1_000_000
 	cfg.MeasureCycles = 4_000_000
 	if s.topology != "paper" {
-		shape := topo.Uniform(4, 4, 2)
-		cfg.Topology = &shape
+		cfg.Topology = topo.Uniform(4, 4, 2)
 	}
 	if s.policy != "default" {
 		if cfg.Policy, err = ParsePolicy(s.policy); err != nil {

@@ -64,7 +64,7 @@ func RunControlled(cfg Config, cancel *Cancel, maxCycles uint64) *Result {
 	m.Eng.SetInterrupt(flag, deadline)
 
 	var r *Result
-	if m.WL.OpenLoop() && !cfg.SkipWorkload {
+	if m.WL.OpenLoop() {
 		r = m.Measure(openLoopHorizon)
 	} else {
 		m.Eng.Run(sim.Time(cfg.WarmupCycles))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apic"
 	"repro/internal/perf"
+	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
 
@@ -236,7 +237,7 @@ func TestRunDeterminism(t *testing.T) {
 // CPUs without pinning.
 func TestRotateIRQPolicy(t *testing.T) {
 	cfg := testConfig(ModeNone, ttcp.TX, 16384)
-	cfg.RotateIRQs = true
+	cfg.Policy = topo.Rotate{}
 	r := Run(cfg)
 	var c0, c1 uint64
 	for _, v := range Vectors {

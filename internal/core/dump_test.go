@@ -42,8 +42,7 @@ func TestDumpStateCustomTopology(t *testing.T) {
 	cfg := DefaultConfig(ModeNone, ttcp.TX, 65536)
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 0
-	t4 := topo.Uniform(4, 3, 1)
-	cfg.Topology = &t4
+	cfg.Topology = topo.Uniform(4, 3, 1)
 	m := NewMachine(cfg)
 	defer m.Shutdown()
 	m.Measure(1_000_000)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
 
@@ -13,7 +14,7 @@ import (
 // wire jitter, a DMA stall, and an interrupt storm on CPU1.
 func faultedConfig(mode Mode, dir ttcp.Direction) Config {
 	cfg := testConfig(mode, dir, 16384)
-	cfg.NumNICs = 4
+	cfg.Topology = topo.Uniform(2, 4, 1)
 	cfg.Faults = &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.KindFlap, NIC: 1, From: 60_000_000, Until: 80_000_000},
 		{Kind: fault.KindBurst, NIC: -1, PEnterBad: 0.002, PExitBad: 0.2, BadRate: 0.9},
@@ -118,7 +119,7 @@ func TestLossSweepInvariants(t *testing.T) {
 // reports the recovery time.
 func TestMidRunFlapRecovers(t *testing.T) {
 	cfg := testConfig(ModeFull, ttcp.TX, 16384)
-	cfg.NumNICs = 4
+	cfg.Topology = topo.Uniform(2, 4, 1)
 	// A LAN-tuned RTO so post-flap recovery lands inside the measured
 	// window (the 200 ms default would fire long after it ends).
 	cfg.TCP.RTOInitCycles = 40_000_000
@@ -152,7 +153,7 @@ func TestMidRunFlapRecovers(t *testing.T) {
 // anything — both leave the machine clean.
 func TestStallAndStormInvariants(t *testing.T) {
 	cfg := testConfig(ModeNone, ttcp.RX, 16384)
-	cfg.NumNICs = 2
+	cfg.Topology = topo.Uniform(2, 2, 1)
 	cfg.Faults = &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.KindStall, NIC: 0, From: 50_000_000, Until: 56_000_000},
 		{Kind: fault.KindStorm, NIC: 1, CPU: 1, From: 40_000_000, Until: 120_000_000, PeriodCycles: 200_000},

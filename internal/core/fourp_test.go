@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/perf"
+	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
 
@@ -16,7 +17,7 @@ import (
 // sticks to 2P.
 func fourPConfig(mode Mode, size int) Config {
 	cfg := DefaultConfig(mode, ttcp.TX, size)
-	cfg.NumCPUs = 4
+	cfg.Topology = topo.Uniform(4, 8, 1)
 	cfg.WarmupCycles = 30_000_000
 	cfg.MeasureCycles = 120_000_000
 	return cfg
@@ -41,7 +42,7 @@ func TestFourPNoAffinityCPU0Bottleneck(t *testing.T) {
 func TestFourPAffinityGainExceeds2P(t *testing.T) {
 	gain := func(cpus int) float64 {
 		base := DefaultConfig(ModeNone, ttcp.TX, 65536)
-		base.NumCPUs = cpus
+		base.Topology = topo.Uniform(cpus, 8, 1)
 		base.WarmupCycles = 30_000_000
 		base.MeasureCycles = 120_000_000
 		full := base

@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/perf"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
 
@@ -61,7 +62,7 @@ func TestNAPIMitigatesInterruptsAtMachineLevel(t *testing.T) {
 		cfg := testConfig(ModeNone, ttcp.TX, 65536)
 		// Two ports carrying all the traffic: per-device load high enough
 		// that polling outpaces interrupt-per-burst behaviour.
-		cfg.NumNICs = 2
+		cfg.Topology = topo.Uniform(2, 2, 1)
 		m := NewMachine(cfg)
 		defer m.Shutdown()
 		for _, n := range m.NICs {

@@ -101,35 +101,19 @@ type Config struct {
 	Dir  ttcp.Direction
 	// Size is the ttcp transaction size in bytes.
 	Size int
-	// NumCPUs and NumNICs shape the machine; the paper's SUT is 2 CPUs
-	// and 8 NICs (one connection and one process per NIC). Topology, if
-	// set, overrides both.
-	NumCPUs, NumNICs int
-	// Topology, when non-nil, describes an arbitrary machine shape
-	// (CPU count, NUMA-ish domains, multi-queue NICs, connection count)
-	// in place of the flat NumCPUs × NumNICs default.
-	Topology *topo.Topology
+	// Topology is the machine shape: CPU count, NUMA-ish domains,
+	// multi-queue NICs and connection count. DefaultConfig sets the
+	// paper's 2 CPUs × 8 single-queue NICs (topo.Paper).
+	Topology topo.Topology
 	// Policy, when non-nil, overrides the placement policy implied by
-	// Mode (e.g. topo.RSS, or a custom implementation).
+	// Mode (e.g. topo.RSS, topo.Rotate for the §7 rotating interrupt
+	// delivery, or a custom implementation).
 	Policy topo.PlacementPolicy
 	// Seed drives all simulation randomness.
 	Seed uint64
 	// WarmupCycles run before measurement (cache/TLB warmup, window
 	// ramp); MeasureCycles is the measured steady-state interval.
 	WarmupCycles, MeasureCycles uint64
-	// RotateIRQs applies the 2.6-style rotating delivery of §7 instead
-	// of static routing (only meaningful with the default mask).
-	RotateIRQs bool
-	// SkipWorkload builds the machine (NICs, connections, affinity) but
-	// launches no ttcp processes and no client sources, so callers can
-	// attach their own workload (see examples/webserver).
-	SkipWorkload bool
-	// ThinkCycles inserts virtual think time between ttcp transactions
-	// (0 = the paper's back-to-back bulk workload).
-	ThinkCycles uint64
-	// RecordLatency keeps per-transaction durations on each ttcp process
-	// (Machine.Procs[i].Latency()).
-	RecordLatency bool
 	// Trace, when non-nil, attaches a timeline recorder to the machine;
 	// the recorder surfaces on Machine.Rec and Result.Trace. Recording is
 	// passive: a traced run follows the exact trajectory of an untraced
@@ -144,8 +128,7 @@ type Config struct {
 	// storms). Nil or empty means the clean baseline: nothing is
 	// installed and the run is byte-identical to one before the fault
 	// subsystem existed. Loss and fault behaviour flows ONLY through
-	// this field (plus NICConfig), so the result cache's fingerprint
-	// always sees it.
+	// this field, so the result cache's fingerprint always sees it.
 	Faults *fault.Schedule
 
 	// Coalesce selects the NICs' interrupt-coalescing model (parse one
@@ -178,8 +161,7 @@ func DefaultConfig(mode Mode, dir ttcp.Direction, size int) Config {
 		Mode:          mode,
 		Dir:           dir,
 		Size:          size,
-		NumCPUs:       2,
-		NumNICs:       8,
+		Topology:      topo.Paper(),
 		Seed:          1,
 		WarmupCycles:  60_000_000,  // 30 ms
 		MeasureCycles: 240_000_000, // 120 ms (many scheduler quanta)
@@ -187,15 +169,6 @@ func DefaultConfig(mode Mode, dir ttcp.Direction, size int) Config {
 		Tune:          kern.DefaultTuning(),
 		TCP:           tcp.DefaultConfig(),
 	}
-}
-
-// Topo resolves the machine shape a config describes: the explicit
-// Topology if set, else the flat NumCPUs × single-queue-NumNICs default.
-func (cfg Config) Topo() topo.Topology {
-	if cfg.Topology != nil {
-		return *cfg.Topology
-	}
-	return topo.Uniform(cfg.NumCPUs, cfg.NumNICs, 1)
 }
 
 // PlanFor computes the placement plan a config implies without building
@@ -208,14 +181,7 @@ func PlanFor(cfg Config) (*topo.Plan, error) {
 	if pol == nil {
 		pol = PolicyForMode(cfg.Mode)
 	}
-	plan, err := pol.Place(cfg.Topo())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.RotateIRQs {
-		plan.RotateIRQs = true
-	}
-	return plan, nil
+	return pol.Place(cfg.Topology)
 }
 
 // Machine is an assembled SUT plus its clients and workload.
@@ -251,9 +217,6 @@ type Machine struct {
 // processes, with the placement plan applied (IRQ smp_affinity masks,
 // process affinity masks, RSS flow steering).
 func NewMachine(cfg Config) *Machine {
-	if cfg.Topology == nil && (cfg.NumCPUs <= 0 || cfg.NumNICs <= 0) {
-		panic(fmt.Sprintf("core: bad machine shape %d CPUs %d NICs", cfg.NumCPUs, cfg.NumNICs))
-	}
 	plan, err := PlanFor(cfg)
 	if err != nil {
 		panic("core: " + err.Error())
@@ -329,27 +292,23 @@ func NewMachine(cfg Config) *Machine {
 	}
 
 	m.view = &workload.Machine{
-		Eng:           eng,
-		K:             k,
-		St:            st,
-		Plan:          plan,
-		NICs:          m.NICs,
-		Sockets:       m.Sockets,
-		Clients:       m.Clients,
-		Dir:           cfg.Dir,
-		Size:          cfg.Size,
-		ThinkCycles:   cfg.ThinkCycles,
-		RecordLatency: cfg.RecordLatency,
+		Eng:     eng,
+		K:       k,
+		St:      st,
+		Plan:    plan,
+		NICs:    m.NICs,
+		Sockets: m.Sockets,
+		Clients: m.Clients,
+		Dir:     cfg.Dir,
+		Size:    cfg.Size,
 	}
 	if plan.FlowDirector {
 		m.fd = newFlowDirector(plan, m.NICs, t.NumCPUs)
 		k.OnMigrate = m.fd.taskMigrated
 		m.view.Steer = m.fd
 	}
-	if !cfg.SkipWorkload {
-		wl.Launch(m.view)
-		m.Procs = m.view.Procs
-	}
+	wl.Launch(m.view)
+	m.Procs = m.view.Procs
 	k.StartTicks()
 	return m
 }
@@ -357,7 +316,7 @@ func NewMachine(cfg Config) *Machine {
 // NICConfigFor returns the device configuration NewMachine builds for
 // NIC n of the plan under the given coalescing model (nil = legacy).
 // Exported so the cache fingerprint can hash exactly the per-device
-// config (ring sizes, loss rate, vectors, coalescing) a run will use,
+// config (ring sizes, vectors, coalescing) a run will use,
 // rather than re-deriving it.
 func NICConfigFor(plan *topo.Plan, coalesce *netdev.CoalesceConfig, n int) netdev.NICConfig {
 	t := plan.Topo

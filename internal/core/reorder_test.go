@@ -16,9 +16,8 @@ import (
 func reorderCell(t *testing.T, policy, coalesce string) Config {
 	t.Helper()
 	cfg := DefaultConfig(ModeNone, ttcp.RX, 65536)
-	shape := topo.Uniform(2, 1, 2)
-	shape.Conns = 2
-	cfg.Topology = &shape
+	cfg.Topology = topo.Uniform(2, 1, 2)
+	cfg.Topology.Conns = 2
 	pol, err := ParsePolicy(policy)
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ const openLoopHorizon = uint64(1) << 61
 func Run(cfg Config) *Result {
 	m := NewMachine(cfg)
 	defer m.Shutdown()
-	if m.WL.OpenLoop() && !cfg.SkipWorkload {
+	if m.WL.OpenLoop() {
 		r := m.Measure(openLoopHorizon)
 		if !cfg.Faults.Empty() && m.WL.Quiescible() {
 			r.InvariantsChecked = true

@@ -51,10 +51,11 @@ func TestSamplerConvergesToExactDistribution(t *testing.T) {
 
 // On an idle machine, nearly all samples must be idle.
 func TestSamplerIdleMachine(t *testing.T) {
-	cfg := testConfig(ModeNone, ttcp.TX, 65536)
-	cfg.SkipWorkload = true
-	m := NewMachine(cfg)
+	m := NewMachine(testConfig(ModeNone, ttcp.TX, 65536))
 	defer m.Shutdown()
+	for _, p := range m.Procs {
+		p.Stop()
+	}
 	s := m.NewSampler(20_000)
 	m.Eng.Run(50_000_000)
 	s.Stop()

@@ -359,11 +359,17 @@ func TestXmitBlockingSleepsUntilRingSpace(t *testing.T) {
 	}
 }
 
+// dropAll is a wire fault that loses every frame in both directions.
+type dropAll struct{}
+
+func (dropAll) Drop(sim.Time, *sim.RNG, bool) bool         { return true }
+func (dropAll) ExtraDelay(sim.Time, *sim.RNG, bool) uint64 { return 0 }
+
 // Wire loss: dropped frames are counted and never reach the stack or
-// the peer; LossRate 0 never drops.
+// the peer.
 func TestWireLossCountsAndDrops(t *testing.T) {
 	r := newRig(t)
-	r.n.cfg.LossRate = 1.0 // drop everything (loss is construction-time config; tests may poke)
+	r.n.SetWireFault(dropAll{})
 	r.eng.At(1000, func() {
 		for i := 0; i < 5; i++ {
 			r.n.InjectFromWire(WireFrame{Conn: 1, Len: 1460})

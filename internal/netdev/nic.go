@@ -27,11 +27,6 @@ type NICConfig struct {
 	CoalesceCycles uint64
 	// WireLatencyCycles is the one-way propagation+switch latency.
 	WireLatencyCycles uint64
-	// LossRate drops this fraction of frames on the wire (both
-	// directions), deterministically from the engine's random stream.
-	// The paper's LAN is loss-free; this exercises the retransmission
-	// machinery and affinity behaviour under degraded links.
-	LossRate float64
 	// NAPI enables 2.6-style interrupt mitigation: the top half masks
 	// the device and the softirq polls the rings until they drain, so
 	// sustained load runs nearly interrupt-free. The paper's 2.4 driver
@@ -126,8 +121,8 @@ type NIC struct {
 	TxFrames, RxFrames uint64
 	TxBytes, RxBytes   uint64
 	RxDropped          uint64
-	// WireDrops counts frames lost on the link (LossRate, injected
-	// faults, link-down windows).
+	// WireDrops counts frames lost on the link (injected faults,
+	// link-down windows).
 	WireDrops uint64
 	// LinkDownDrops is the subset of WireDrops lost to link flaps.
 	LinkDownDrops uint64
@@ -477,19 +472,14 @@ func (n *NIC) InjectFromWire(f WireFrame) {
 }
 
 // dropOnWire decides the fate of a frame entering the wire: link-down
-// windows lose everything, then the uniform LossRate, then the
-// installed fault hook. On a healthy zero-loss device this makes no RNG
-// draw (Bernoulli(0) returns without drawing), so the baseline random
-// stream is untouched.
+// windows lose everything, then the installed fault hook. A healthy
+// device makes no RNG draw, so the baseline random stream is untouched.
 func (n *NIC) dropOnWire(rx bool) bool {
 	if n.linkDown {
 		n.LinkDownDrops++
 		return true
 	}
 	eng := n.eng()
-	if eng.RNG().Bernoulli(n.cfg.LossRate) {
-		return true
-	}
 	return n.wireFault != nil && n.wireFault.Drop(eng.Now(), eng.RNG(), rx)
 }
 

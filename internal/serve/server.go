@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -441,8 +442,6 @@ type RunRequest struct {
 
 	WarmupCycles  uint64 `json:"warmup_cycles"`
 	MeasureCycles uint64 `json:"measure_cycles"`
-	ThinkCycles   uint64 `json:"think_cycles"`
-	RotateIRQs    bool   `json:"rotate_irqs"`
 	// Quick selects the figure generator's -quick windows when explicit
 	// cycles are not given.
 	Quick bool `json:"quick"`
@@ -507,23 +506,21 @@ func (rq RunRequest) Config() (core.Config, error) {
 	if rq.MeasureCycles != 0 {
 		cfg.MeasureCycles = rq.MeasureCycles
 	}
-	cfg.ThinkCycles = rq.ThinkCycles
-	cfg.RotateIRQs = rq.RotateIRQs
-	cpus, nics, queues := 2, 8, 1
-	if rq.CPUs != 0 {
-		cpus = rq.CPUs
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"cpus", rq.CPUs}, {"nics", rq.NICs}, {"queues", rq.Queues}} {
+		if f.v < 0 {
+			return core.Config{}, fieldErrf(f.name, "must be positive, got %d", f.v)
+		}
 	}
-	if rq.NICs != 0 {
-		nics = rq.NICs
+	// Each NIC needs an interrupt vector: refuse before building a shape
+	// entry per requested NIC.
+	if limit := topo.NumAllocatableVectors(); rq.NICs > limit {
+		return core.Config{}, fieldErrf("nics", "%d NICs exceed the %d allocatable interrupt vectors", rq.NICs, limit)
 	}
-	if rq.Queues != 0 {
-		queues = rq.Queues
-	}
-	if cpus != 2 || nics != 8 || queues != 1 || rq.Conns != 0 {
-		shape := topo.Uniform(cpus, nics, queues)
-		shape.Conns = rq.Conns
-		cfg.Topology = &shape
-	}
+	cfg.Topology = topo.Uniform(cmp.Or(rq.CPUs, 2), cmp.Or(rq.NICs, 8), cmp.Or(rq.Queues, 1))
+	cfg.Topology.Conns = rq.Conns
 	if rq.Policy != "" {
 		pol, err := core.ParsePolicy(rq.Policy)
 		if err != nil {
@@ -541,7 +538,7 @@ func (rq RunRequest) Config() (core.Config, error) {
 		if err != nil {
 			return core.Config{}, &fieldError{field: "faults", err: err}
 		}
-		t := cfg.Topo()
+		t := cfg.Topology
 		horizon := cfg.WarmupCycles + cfg.MeasureCycles
 		if err := sched.Validate(len(t.NICs), t.NumCPUs, horizon); err != nil {
 			return core.Config{}, &fieldError{field: "faults", err: err}

@@ -205,6 +205,10 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		"negative size":    `{"size":-5}`,
 		"impossible shape": `{"cpus":64}`,
 		"malformed json":   `{`,
+		// Deleted knobs: think time is a ttcp setting, and rotating
+		// delivery is "policy":"rotate".
+		"think_cycles": `{"think_cycles":1000}`,
+		"rotate_irqs":  `{"rotate_irqs":true}`,
 	} {
 		code, resp := post(t, ts.URL+"/v1/run", body)
 		if code != http.StatusBadRequest {
@@ -343,6 +347,10 @@ func TestFieldLevel400s(t *testing.T) {
 		"fault nic range":   {`{"faults":"flap,nic=99,until=1e6"}`, "faults"},
 		"fault past window": {tinyBody(`,"faults":"flap,from=1e12,until=2e12"`), "faults"},
 		"empty fault rate":  {`{"faults":"loss,rate=0"}`, "faults"},
+		"negative cpus":     {`{"cpus":-1}`, "cpus"},
+		"negative nics":     {`{"nics":-1}`, "nics"},
+		"negative queues":   {`{"queues":-2}`, "queues"},
+		"too many nics":     {`{"nics":1000000000}`, "nics"},
 	} {
 		code, resp := post(t, ts.URL+"/v1/run", tc.body)
 		if code != http.StatusBadRequest {

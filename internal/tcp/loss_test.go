@@ -10,7 +10,7 @@ import (
 // once, in order — via duplicate ACKs, fast retransmit and the
 // retransmission timer.
 func TestLossyTransmitRecoversExactly(t *testing.T) {
-	r := newRigNIC(t, DefaultConfig(), lossyNIC(0.02))
+	r := newLossyRig(t, DefaultConfig(), 0.02)
 	userBuf := r.k.Space.AllocPage(64<<10, "userbuf")
 	const total = 40 * 16 << 10
 	done := false
@@ -43,7 +43,7 @@ func TestLossyTransmitRecoversExactly(t *testing.T) {
 // The receive direction recovers too: the client source goes back to
 // snd_una on duplicate ACKs or its watchdog.
 func TestLossyReceiveRecoversExactly(t *testing.T) {
-	r := newRigNIC(t, DefaultConfig(), lossyNIC(0.02))
+	r := newLossyRig(t, DefaultConfig(), 0.02)
 	userBuf := r.k.Space.AllocPage(64<<10, "userbuf")
 	const reads, size = 30, 8 << 10
 	got := 0
@@ -72,7 +72,7 @@ func TestLossyReceiveRecoversExactly(t *testing.T) {
 // window than a clean one.
 func TestLossReducesGoodput(t *testing.T) {
 	run := func(loss float64) uint64 {
-		r := newRigNIC(t, DefaultConfig(), lossyNIC(loss))
+		r := newLossyRig(t, DefaultConfig(), loss)
 		userBuf := r.k.Space.AllocPage(64<<10, "userbuf")
 		r.k.Spawn("tx", 0, 0, func(e *kern.Env) {
 			for {

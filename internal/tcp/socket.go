@@ -589,8 +589,9 @@ func (s *Socket) Read(env *kern.Env, userBuf mem.Addr, size int) {
 // --- timers ---
 
 // onRetransTimer retransmits the oldest unacknowledged segment. In the
-// paper's loss-free LAN it never fires; with a lossy link (NICConfig.
-// LossRate) it is the recovery of last resort behind fast retransmit.
+// paper's loss-free LAN it never fires; with a lossy link (a fault
+// schedule's loss or burst events) it is the recovery of last resort
+// behind fast retransmit.
 func (s *Socket) onRetransTimer(env *kern.Env) {
 	tx, ctl := s.tx(), s.ctl()
 	env.Run(s.st.p.tcpWriteTimer, func(x *cpu.Exec) {

@@ -23,13 +23,6 @@ type rig struct {
 }
 
 func newRig(t *testing.T, cfg Config) *rig {
-	return newRigNIC(t, cfg, netdev.DefaultNICConfig(0x19))
-}
-
-// newRigNIC builds a rig around a custom device configuration (loss
-// rate, ring sizes); loss is construction-time config so the cache
-// fingerprint can always see it.
-func newRigNIC(t *testing.T, cfg Config, ncfg netdev.NICConfig) *rig {
 	t.Helper()
 	eng := sim.NewEngine(7)
 	tab := perf.NewSymbolTable()
@@ -40,17 +33,29 @@ func newRigNIC(t *testing.T, cfg Config, ncfg netdev.NICConfig) *rig {
 	})
 	t.Cleanup(k.Shutdown)
 	st := New(k, cfg)
-	nic := st.AddNICWithConfig(ncfg)
+	nic := st.AddNICWithConfig(netdev.DefaultNICConfig(0x19))
 	s, c := st.NewConn(1, nic)
 	k.StartTicks()
 	return &rig{eng: eng, k: k, st: st, nic: nic, s: s, c: c, tab: tab, ctr: ctr}
 }
 
-// lossyNIC is a default device with the given wire-loss probability.
-func lossyNIC(loss float64) netdev.NICConfig {
-	ncfg := netdev.DefaultNICConfig(0x19)
-	ncfg.LossRate = loss
-	return ncfg
+// bernoulliLoss is a wire fault that loses each frame, in either
+// direction, with the given probability drawn from the engine's random
+// stream.
+type bernoulliLoss float64
+
+func (l bernoulliLoss) Drop(_ sim.Time, rng *sim.RNG, _ bool) bool {
+	return rng.Bernoulli(float64(l))
+}
+
+func (bernoulliLoss) ExtraDelay(sim.Time, *sim.RNG, bool) uint64 { return 0 }
+
+// newLossyRig is newRig over a link that loses each frame with
+// probability loss.
+func newLossyRig(t *testing.T, cfg Config, loss float64) *rig {
+	r := newRig(t, cfg)
+	r.nic.SetWireFault(bernoulliLoss(loss))
+	return r
 }
 
 func TestTransmitDeliversInOrder(t *testing.T) {

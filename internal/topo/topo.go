@@ -66,9 +66,14 @@ func Uniform(cpus, nics, queues int) Topology {
 // Paper returns the paper's SUT shape: 2 processors × 8 single-queue NICs.
 func Paper() Topology { return Uniform(2, 8, 1) }
 
+// maxConns bounds the connection population, and with it the plan's
+// per-connection tables, far above any shape the experiments use.
+const maxConns = 1 << 20
+
 // Validate rejects shapes the simulator cannot express: no CPUs or NICs,
-// more CPUs than the APIC can address, domains that fail to partition the
-// CPU set, or more total queues than allocatable interrupt vectors.
+// more CPUs than the APIC can address, a negative queue count, domains
+// that fail to partition the CPU set, more total queues than allocatable
+// interrupt vectors, or more than maxConns connections.
 func (t Topology) Validate() error {
 	if t.NumCPUs <= 0 {
 		return fmt.Errorf("topo: need at least one CPU, got %d", t.NumCPUs)
@@ -81,6 +86,15 @@ func (t Topology) Validate() error {
 	}
 	if t.Conns < 0 {
 		return fmt.Errorf("topo: negative connection count %d", t.Conns)
+	}
+	if t.Conns > maxConns {
+		return fmt.Errorf("topo: %d connections exceed the %d supported", t.Conns, maxConns)
+	}
+	// Per NIC first, so the total cannot overflow.
+	for n, s := range t.NICs {
+		if s.Queues < 0 || s.Queues > NumAllocatableVectors() {
+			return fmt.Errorf("topo: NIC %d has %d queues, want 0..%d", n, s.Queues, NumAllocatableVectors())
+		}
 	}
 	if total, max := t.TotalQueues(), NumAllocatableVectors(); total > max {
 		return fmt.Errorf("topo: %d interrupt queues exceed the %d allocatable vectors", total, max)

@@ -84,6 +84,11 @@ func TestTopologyValidate(t *testing.T) {
 		{"no nics", Topology{NumCPUs: 2}, true},
 		{"negative conns", Topology{NumCPUs: 2, NICs: []NICShape{{}}, Conns: -1}, true},
 		{"too many queues", Uniform(2, 1, NumAllocatableVectors()+1), true},
+		{"negative queues", Uniform(2, 8, -2), true},
+		{"zero queues", Uniform(2, 8, 0), false},
+		{"queue sum overflow", Uniform(2, 8, 1<<61), true},
+		{"most conns", Topology{NumCPUs: 2, NICs: []NICShape{{}}, Conns: maxConns}, false},
+		{"too many conns", Topology{NumCPUs: 2, NICs: []NICShape{{}}, Conns: maxConns + 1}, true},
 		{"domains ok", Topology{NumCPUs: 4, NICs: []NICShape{{}}, Domains: [][]int{{0, 1}, {2, 3}}}, false},
 		{"domain gap", Topology{NumCPUs: 4, NICs: []NICShape{{}}, Domains: [][]int{{0, 1}, {3}}}, true},
 		{"domain dup", Topology{NumCPUs: 4, NICs: []NICShape{{}}, Domains: [][]int{{0, 1}, {1, 2, 3}}}, true},

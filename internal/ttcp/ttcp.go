@@ -39,12 +39,16 @@ type Proc struct {
 	Client *tcp.Client
 	// Transactions counts completed read/write calls.
 	Transactions uint64
-	userBuf      mem.Addr
-	stop         bool
-	stopped      bool
+	// RecordLatency keeps per-transaction durations for Latency. It is
+	// host-side bookkeeping that never changes a simulated cycle; set it
+	// before the engine first runs the process.
+	RecordLatency bool
+	userBuf       mem.Addr
+	stop          bool
+	stopped       bool
 
-	// latencies records per-transaction durations (cycles) when
-	// Config.RecordLatency is set; see Latency.
+	// latencies records per-transaction durations (cycles) while
+	// RecordLatency is set; see Latency.
 	latencies []uint64
 }
 
@@ -94,8 +98,6 @@ type Config struct {
 	// ThinkCycles inserts virtual think time between transactions
 	// (0 = back-to-back bulk transfer, the paper's workload).
 	ThinkCycles uint64
-	// RecordLatency keeps per-transaction durations for Proc.Latency.
-	RecordLatency bool
 }
 
 // Launch spawns one ttcp process on st's kernel driving sock. The process
@@ -123,7 +125,7 @@ func Launch(st *tcp.Stack, sock *tcp.Socket, client *tcp.Client, cfg Config) *Pr
 				sock.Read(env, p.userBuf, cfg.Size)
 			}
 			p.Transactions++
-			if cfg.RecordLatency {
+			if p.RecordLatency {
 				p.latencies = append(p.latencies, uint64(k.Eng.Now()-start))
 			}
 			if cfg.ThinkCycles > 0 {

@@ -135,9 +135,8 @@ func TestLatencyRecording(t *testing.T) {
 	eng, _, st := newStack(t)
 	nic := st.AddNIC(0x19)
 	sock, client := st.NewConn(0, nic)
-	p := Launch(st, sock, client, Config{
-		Name: "lat", Dir: TX, Size: 16384, StartCPU: 0, RecordLatency: true,
-	})
+	p := Launch(st, sock, client, Config{Name: "lat", Dir: TX, Size: 16384, StartCPU: 0})
+	p.RecordLatency = true
 	eng.Run(400_000_000)
 	ls := p.Latency()
 	if ls.Count == 0 {

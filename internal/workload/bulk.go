@@ -45,13 +45,11 @@ func (w *Bulk) dirOf(m *Machine, i int) ttcp.Direction {
 func (w *Bulk) Launch(m *Machine) {
 	for i := range m.Sockets {
 		p := ttcp.Launch(m.St, m.Sockets[i], m.Clients[i], ttcp.Config{
-			Name:          fmt.Sprintf("ttcp%d", i),
-			Dir:           w.dirOf(m, i),
-			Size:          m.Size,
-			StartCPU:      m.Plan.StartCPUs[i],
-			Affinity:      m.Plan.ProcMasks[i],
-			ThinkCycles:   m.ThinkCycles,
-			RecordLatency: m.RecordLatency,
+			Name:     fmt.Sprintf("ttcp%d", i),
+			Dir:      w.dirOf(m, i),
+			Size:     m.Size,
+			StartCPU: m.Plan.StartCPUs[i],
+			Affinity: m.Plan.ProcMasks[i],
 		})
 		m.Procs = append(m.Procs, p)
 		m.BindFlow(i, p.Task)

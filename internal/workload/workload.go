@@ -43,10 +43,8 @@ type Machine struct {
 
 	// Workload knobs threaded from core.Config (the bulk workload's
 	// vocabulary; other workloads read what applies to them).
-	Dir           ttcp.Direction
-	Size          int
-	ThinkCycles   uint64
-	RecordLatency bool
+	Dir  ttcp.Direction
+	Size int
 
 	// Procs is filled by workloads that spawn ttcp processes (bulk);
 	// the assembler copies it back so Machine.Procs and the invariant
