@@ -320,13 +320,13 @@ func NewServer(opts ServerOptions) *Server { return serve.New(opts) }
 type Coordinator = coord.Coordinator
 
 // CoordinatorOptions configures NewCoordinator; the zero value serves
-// with sensible heartbeat, retry, hedging and memo defaults.
+// with sensible heartbeat, retry, hedging and result-store defaults.
 type CoordinatorOptions = coord.Options
 
 // NewCoordinator builds the fleet coordinator handler; mount it on any
-// http.Server and Close (or Shutdown) it when done. The only
-// construction error is a journal directory that cannot be opened or
-// replayed.
+// http.Server and Close (or Shutdown) it when done. Construction fails
+// on a negative MemoEntries or a journal directory that cannot be
+// opened.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) { return coord.New(opts) }
 
 // --- timeline tracing ---

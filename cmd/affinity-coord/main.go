@@ -18,7 +18,9 @@
 //	-retry-base d        first retry backoff (default 250ms)
 //	-retry-cap d         backoff ceiling (default 5s)
 //	-hedge-after d       straggler hedge delay; <0 disables (default 30s)
-//	-memo-entries n      fleet result-memo entry bound (default 65536)
+//	-memo-entries n      fleet result-store entry bound, which also bounds
+//	                     the journal's durable set (default 65536; must
+//	                     not be negative)
 //	-journal-dir path    durable cell journal; a restarted coordinator
 //	                     replays it and re-dispatches only missing cells
 //	-journal-sync d      journal group-commit fsync interval (default 100ms)
@@ -70,7 +72,7 @@ func main() {
 	retryBase := flag.Duration("retry-base", 250*time.Millisecond, "first retry backoff")
 	retryCap := flag.Duration("retry-cap", 5*time.Second, "retry backoff ceiling")
 	hedgeAfter := flag.Duration("hedge-after", 30*time.Second, "straggler hedge delay (<0 disables)")
-	memoEntries := flag.Int("memo-entries", 65536, "fleet result-memo entry bound (<0 disables)")
+	memoEntries := flag.Int("memo-entries", 65536, "fleet result-store entry bound, journal included (must not be negative)")
 	journalDir := flag.String("journal-dir", "", "durable cell journal directory (empty disables)")
 	journalSync := flag.Duration("journal-sync", 100*time.Millisecond, "journal group-commit fsync interval")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive dispatch failures that open a worker's breaker (<0 disables)")

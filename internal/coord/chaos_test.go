@@ -44,14 +44,17 @@ func TestCrashRestartResumesFromJournal(t *testing.T) {
 	dir := t.TempDir()
 
 	// Epoch A: the worker dies after 3 cells; retries and hedging are off
-	// so each lost cell fails fast and the sweep truncates.
+	// so each lost cell fails fast and the sweep truncates. Both epochs
+	// rely on register marking the worker healthy and never probe it: a
+	// missed heartbeat under CPU load would evict the worker while its
+	// cells are in flight and fail them for the wrong reason.
 	dying := &failAfter{h: serve.New(serve.Options{Runner: core.NewRunner(1), MaxInflight: 2})}
 	dying.n.Store(3)
 	dyingTS := httptest.NewServer(dying)
 	t.Cleanup(dyingTS.Close)
 
 	ctsA, cA := newCoord(t, Options{
-		Heartbeat:   50 * time.Millisecond,
+		Heartbeat:   time.Hour,
 		Retries:     -1,
 		HedgeAfter:  -1,
 		JournalDir:  dir,
@@ -65,7 +68,7 @@ func TestCrashRestartResumesFromJournal(t *testing.T) {
 	if partial == want {
 		t.Fatal("sweep was supposed to be interrupted but completed fully")
 	}
-	journaled := cA.journal.Len()
+	journaled := cA.store.len()
 	if journaled == 0 || journaled > 3 {
 		t.Fatalf("journaled cells = %d, want 1..3 (the cells the dying worker served)", journaled)
 	}
@@ -76,7 +79,7 @@ func TestCrashRestartResumesFromJournal(t *testing.T) {
 	// Epoch B: fresh coordinator, same journal dir, healthy worker.
 	wts, wrk := newWorker(t)
 	ctsB, cB := newCoord(t, Options{
-		Heartbeat:   50 * time.Millisecond,
+		Heartbeat:   time.Hour,
 		HedgeAfter:  -1,
 		JournalDir:  dir,
 		JournalSync: time.Millisecond,

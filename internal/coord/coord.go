@@ -17,7 +17,7 @@
 // capped exponential backoff, hedged duplicate dispatch for stragglers
 // (first result wins, by fingerprint), eviction after consecutive
 // missed heartbeats with automatic reassignment of in-flight cells,
-// and a fleet-wide singleflight memo keyed on cache.Fingerprint so
+// and a fleet-wide singleflight store keyed on cache.Fingerprint so
 // identical cells — within one sweep or across clients — dispatch once.
 package coord
 
@@ -26,8 +26,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -62,13 +64,15 @@ type Options struct {
 	// unfinished after this long; the first result wins and the loser
 	// is discarded by fingerprint. 0 selects 30s; negative disables.
 	HedgeAfter time.Duration
-	// MemoEntries bounds the raw-line result memo (entries, not bytes —
-	// one NDJSON line is a few KiB). 0 selects 65536; negative disables.
+	// MemoEntries bounds the raw-line result store (entries, not bytes —
+	// one NDJSON line is a few KiB), and with it the journal's durable
+	// set. 0 selects 65536; negative is an error.
 	MemoEntries int
 	// JournalDir enables the durable cell journal under this directory:
 	// every completed cacheable cell's raw line is journaled, and a
-	// restarted coordinator serves journaled cells without dispatching
-	// them. Empty disables (sweep progress dies with the process).
+	// restarted coordinator serves the journaled cells still resident
+	// in the store without dispatching them. Empty disables (sweep
+	// progress dies with the process).
 	JournalDir string
 	// JournalSync is the journal's group-commit fsync interval. 0
 	// selects 100ms.
@@ -89,8 +93,7 @@ type Options struct {
 // serve it like any http.Handler, Close when done.
 type Coordinator struct {
 	reg     *registry
-	memo    *memo
-	journal *Journal
+	store   *store
 	metrics *cmetrics
 	client  *http.Client
 	version string
@@ -108,9 +111,9 @@ type Coordinator struct {
 	done   chan struct{}
 }
 
-// New assembles a Coordinator and starts its heartbeat prober. The only
-// error path is opening the journal (Options.JournalDir); a journal-less
-// coordinator cannot fail to build.
+// New assembles a Coordinator and starts its heartbeat prober. It fails
+// on a negative Options.MemoEntries or a journal (Options.JournalDir)
+// that cannot be opened.
 func New(opts Options) (*Coordinator, error) {
 	breakerThreshold := opts.BreakerThreshold
 	if breakerThreshold == 0 {
@@ -124,7 +127,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		reg:         newRegistry(breakerThreshold, breakerCooloff),
-		metrics:     newCMetrics(),
 		client:      opts.Client,
 		version:     opts.Version,
 		heartbeat:   opts.Heartbeat,
@@ -169,17 +171,19 @@ func New(opts Options) (*Coordinator, error) {
 	entries := opts.MemoEntries
 	if entries == 0 {
 		entries = 65536
+	} else if entries < 0 {
+		return nil, fmt.Errorf("coord: MemoEntries must not be negative, got %d", entries)
 	}
-	if entries > 0 {
-		c.memo = newMemo(entries)
-	}
+	var journal *Journal
 	if opts.JournalDir != "" {
 		j, err := OpenJournal(opts.JournalDir, opts.JournalSync)
 		if err != nil {
 			return nil, err
 		}
-		c.journal = j
+		journal = j
 	}
+	c.store = newStore(entries, journal)
+	c.metrics = newCMetrics(c)
 	for _, u := range opts.Workers {
 		c.reg.upsert(strings.TrimRight(u, "/"), "", 0)
 	}
@@ -188,9 +192,7 @@ func New(opts Options) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
 	c.mux.HandleFunc("POST /v1/run", c.instrument("/v1/run", c.handleRun))
 	c.mux.HandleFunc("GET /healthz", c.instrument("/healthz", c.handleHealthz))
-	c.mux.HandleFunc("GET /metrics", c.instrument("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		c.metrics.write(w, c)
-	}))
+	c.mux.HandleFunc("GET /metrics", c.instrument("/metrics", c.metrics.ServeHTTP))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
@@ -207,7 +209,7 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 func (c *Coordinator) Close() {
 	c.cancel()
 	<-c.done
-	c.journal.Close()
+	c.store.journal.Close()
 }
 
 // Shutdown is the graceful-drain Close: it checkpoints the journal —
@@ -218,8 +220,8 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Shutdown() error {
 	c.cancel()
 	<-c.done
-	err := c.journal.Checkpoint()
-	if cerr := c.journal.Close(); err == nil {
+	err := c.store.checkpoint()
+	if cerr := c.store.journal.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -280,71 +282,18 @@ func (c *Coordinator) probe(ctx context.Context, workerURL string) {
 // recovery, mirroring the worker middleware.
 func (c *Coordinator) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &serve.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		defer func() {
 			if v := recover(); v != nil {
-				sw.code = http.StatusInternalServerError
-				if !sw.wrote {
-					httpError(w, http.StatusInternalServerError, "internal error: %v", v)
+				sw.Code = http.StatusInternalServerError
+				if !sw.Wrote {
+					serve.HTTPError(w, http.StatusInternalServerError, "internal error: %v", v)
 				}
 			}
-			c.metrics.observe(path, sw.code)
+			c.metrics.requests.Inc(path, strconv.Itoa(sw.Code))
 		}()
 		h(sw, r)
 	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// badRequest renders a validation error exactly as a worker would —
-// field-attributable failures carry the "field" key — so clients see
-// one API whether they talk to a worker or the fleet.
-func badRequest(w http.ResponseWriter, err error) {
-	body := map[string]string{"error": err.Error()}
-	if field, ok := serve.FieldOf(err); ok {
-		body["field"] = field
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	json.NewEncoder(w).Encode(body)
-}
-
-// decode reads a strict JSON body (unknown fields are client errors).
-func decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	return true
 }
 
 // RegisterRequest is the JSON body of POST /v1/register: a worker
@@ -368,12 +317,12 @@ type RegisterResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var rq RegisterRequest
-	if !decode(w, r, &rq) {
+	if !serve.Decode(w, r, &rq) {
 		return
 	}
 	u, err := url.Parse(rq.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		httpError(w, http.StatusBadRequest, "url: need an absolute http(s) base URL, got %q", rq.URL)
+		serve.HTTPError(w, http.StatusBadRequest, "url: need an absolute http(s) base URL, got %q", rq.URL)
 		return
 	}
 	if c.reg.upsert(strings.TrimRight(rq.URL, "/"), rq.Version, rq.Concurrency) {
@@ -387,12 +336,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 // the merged fleet results in the same deterministic order.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var rq serve.SweepRequest
-	if !decode(w, r, &rq) {
+	if !serve.Decode(w, r, &rq) {
 		return
 	}
 	cells, err := rq.Expand()
 	if err != nil {
-		badRequest(w, err)
+		serve.BadRequest(w, err)
 		return
 	}
 
@@ -427,7 +376,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// stream is the failure signal.
 			return
 		}
-		if _, err := w.Write(append(lines[i], '\n')); err != nil {
+		// Two writes, not append: the line is shared with the store and
+		// with concurrent requests, and may have spare capacity.
+		if _, err := w.Write(lines[i]); err != nil {
+			return
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
 			return
 		}
 		if flusher != nil {
@@ -442,12 +396,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 // own /v1/run answer.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rq serve.RunRequest
-	if !decode(w, r, &rq) {
+	if !serve.Decode(w, r, &rq) {
 		return
 	}
 	cfg, err := rq.Config()
 	if err != nil {
-		badRequest(w, err)
+		serve.BadRequest(w, err)
 		return
 	}
 	swq := serve.SweepRequest{
@@ -457,17 +411,17 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	cells, err := swq.Expand()
 	if err != nil || len(cells) != 1 {
-		httpError(w, http.StatusInternalServerError, "single-cell expansion failed: %v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "single-cell expansion failed: %v", err)
 		return
 	}
 	line, err := c.cell(r.Context(), cells[0])
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, line, "", "  "); err != nil {
-		httpError(w, http.StatusInternalServerError, "re-indenting result: %v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "re-indenting result: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -525,8 +479,8 @@ func (c *Coordinator) health() HealthResponse {
 			ResumeHits:      c.metrics.resumeHits.Load(),
 			Failed:          c.metrics.failed.Load(),
 		},
-		MemoEntries: c.memo.len(),
-		Journal:     c.journal.Stats(),
+		MemoEntries: c.store.len(),
+		Journal:     c.store.journalStats(),
 		WorkerTable: table,
 	}
 	versions := make(map[string]bool)
@@ -567,35 +521,20 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(c.health())
 }
 
-// cell produces the raw NDJSON line for one cell: first the durable
-// journal (a restarted coordinator serves previously completed cells
-// without dispatching anything), then the fleet memo's singleflight,
-// then a dispatch — whose successful line is journaled before it is
-// returned, so completion and durability travel together.
+// cell produces the raw NDJSON line for one cell through the store: a
+// resident line (replayed from the journal, or completed earlier in this
+// process), a shared in-flight dispatch, or a dispatch of its own.
 func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell) ([]byte, error) {
 	if !cache.Cacheable(cell.Cfg) {
 		return c.dispatchCell(ctx, cell)
 	}
-	var key string
-	if c.journal != nil || c.memo != nil {
-		key = cache.Fingerprint(cell.Cfg)
-	}
-	if line, ok := c.journal.Get(key); ok {
+	line, from, err := c.store.getOrDo(ctx, cache.Fingerprint(cell.Cfg), func() ([]byte, error) {
+		return c.dispatchCell(ctx, cell)
+	})
+	switch from {
+	case resumed:
 		c.metrics.resumeHits.Add(1)
-		return line, nil
-	}
-	do := func() ([]byte, error) {
-		line, err := c.dispatchCell(ctx, cell)
-		if err == nil {
-			c.journal.Append(key, line)
-		}
-		return line, err
-	}
-	if c.memo == nil {
-		return do()
-	}
-	line, deduped, err := c.memo.getOrDo(ctx, key, do)
-	if deduped {
+	case deduped:
 		c.metrics.deduped.Add(1)
 	}
 	return line, err

@@ -387,18 +387,24 @@ func TestRegistrationChurnDuringSweep(t *testing.T) {
 }
 
 // TestCoordinatorRejectsBadRequests mirrors the worker's validation
-// surface: same 400s, same field attribution, one API either way.
+// surface: same 400s, same error bodies byte for byte, same field
+// attribution, one API either way.
 func TestCoordinatorRejectsBadRequests(t *testing.T) {
+	wts, _ := newWorker(t)
 	cts, _ := newCoord(t, Options{Heartbeat: time.Hour})
 	for name, body := range map[string]string{
-		"unknown mode":   `{"modes":["sideways"]}`,
-		"unknown field":  `{"moed":"full"}`,
-		"negative size":  `{"sizes":[-5]}`,
-		"malformed json": `{`,
+		"unknown mode":     `{"modes":["sideways"]}`,
+		"unknown field":    `{"moed":"full"}`,
+		"negative size":    `{"sizes":[-5]}`,
+		"malformed json":   `{`,
+		"impossible shape": `{"cpus":64}`,
 	} {
 		code, resp := post(t, cts.URL+"/v1/sweep", body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", name, code, resp)
+		}
+		if _, want := post(t, wts.URL+"/v1/sweep", body); resp != want {
+			t.Errorf("%s: coordinator body %q, worker body %q", name, resp, want)
 		}
 	}
 	code, resp := post(t, cts.URL+"/v1/register", `{"url":"not-a-url"}`)

@@ -121,7 +121,7 @@ func (c *Coordinator) attemptLoop(ctx context.Context, cell serve.SweepCell) ([]
 		}
 		start := time.Now()
 		line, err := c.post(ctx, l, cell)
-		c.metrics.observeWorker(l.url, time.Since(start))
+		c.metrics.workers.Observe(time.Since(start).Seconds(), l.url)
 		c.reg.release(l)
 		if err == nil {
 			c.reg.succeed(l.url)

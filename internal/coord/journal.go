@@ -14,13 +14,15 @@ import (
 	"time"
 )
 
-// Journal is the coordinator's durable record of completed cells: one
-// append-only record per fingerprint holding the raw NDJSON line the
-// fleet produced for it. Because a journaled line is the exact bytes a
-// worker streamed — never re-encoded — replaying it after a coordinator
-// crash cannot perturb a merged sweep by a single byte: a restarted
-// coordinator serves journaled cells straight from memory and dispatches
-// only the remainder.
+// Journal is the file format behind the coordinator's store: one
+// append-only record per completed fingerprint holding the raw NDJSON
+// line the fleet produced for it. It keeps no lines in memory; the
+// store replays it at startup, appends each first insert, and
+// checkpoints its resident entries. Because a journaled line is the
+// exact bytes a worker streamed — never re-encoded — replaying it after
+// a coordinator crash cannot perturb a merged sweep by a single byte: a
+// restarted coordinator serves journaled cells straight from memory and
+// dispatches only the remainder.
 //
 // Layout under dir:
 //
@@ -43,8 +45,6 @@ type Journal struct {
 	dir string
 
 	mu       sync.Mutex
-	entries  map[string][]byte
-	order    []string // fingerprints in first-append order, for compaction
 	wal      *os.File
 	walBytes int64
 	dirty    bool
@@ -54,7 +54,6 @@ type Journal struct {
 	discards       atomic.Uint64
 	checkpoints    atomic.Uint64
 	writeErrors    atomic.Uint64
-	resumed        int
 	lastCheckpoint atomic.Int64 // unix nanos, 0 = never this process
 
 	syncStop chan struct{}
@@ -70,9 +69,9 @@ const (
 	journalMaxLine = 16 << 20
 )
 
-// OpenJournal opens (creating if needed) the journal under dir, replays
-// checkpoint + wal into memory, and starts the group-commit syncer.
-// syncEvery is the fsync batching interval; 0 selects 100ms.
+// OpenJournal opens (creating if needed) the journal under dir and
+// starts the group-commit syncer. syncEvery is the fsync batching
+// interval; 0 selects 100ms.
 func OpenJournal(dir string, syncEvery time.Duration) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -82,18 +81,9 @@ func OpenJournal(dir string, syncEvery time.Duration) (*Journal, error) {
 	}
 	j := &Journal{
 		dir:      dir,
-		entries:  make(map[string][]byte),
 		syncStop: make(chan struct{}),
 		syncDone: make(chan struct{}),
 	}
-	// The checkpoint is a complete prior compaction; the wal holds
-	// everything since. Read in that order so a fingerprint journaled in
-	// both (possible if a crash interrupted checkpointing before the wal
-	// truncate) keeps its first-written line.
-	j.replayFile(filepath.Join(dir, checkpointName))
-	j.replayFile(filepath.Join(dir, walName))
-	j.resumed = len(j.entries)
-
 	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -106,11 +96,24 @@ func OpenJournal(dir string, syncEvery time.Duration) (*Journal, error) {
 	return j, nil
 }
 
-// replayFile loads every valid record from one journal file. Any
-// malformed record discards it and the rest of the file: past the first
-// torn or corrupt record nothing downstream can be trusted, so the tail
-// is treated as unknown (the cells re-dispatch).
-func (j *Journal) replayFile(path string) {
+// replay passes every valid record to insert, in file order: the
+// checkpoint (a complete prior compaction, coldest entry first), then
+// the wal (everything since). A fingerprint journaled in both — possible
+// if a crash interrupted checkpointing before the wal truncate — is
+// passed twice, and insert keeps the first. Nil-safe.
+func (j *Journal) replay(insert func(fp string, line []byte)) {
+	if j == nil {
+		return
+	}
+	j.replayFile(filepath.Join(j.dir, checkpointName), insert)
+	j.replayFile(filepath.Join(j.dir, walName), insert)
+}
+
+// replayFile replays one journal file. Any malformed record discards it
+// and the rest of the file: past the first torn or corrupt record
+// nothing downstream can be trusted, so the tail is treated as unknown
+// (the cells re-dispatch).
+func (j *Journal) replayFile(path string, insert func(fp string, line []byte)) {
 	f, err := os.Open(path)
 	if err != nil {
 		return // absent is the common cold-start case
@@ -126,11 +129,7 @@ func (j *Journal) replayFile(path string) {
 			j.discards.Add(1)
 			return
 		}
-		if _, ok := j.entries[fp]; ok {
-			continue
-		}
-		j.entries[fp] = line
-		j.order = append(j.order, fp)
+		insert(fp, line)
 	}
 }
 
@@ -158,7 +157,8 @@ func appendRecord(buf []byte, fp string, line []byte) []byte {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // readRecord parses one record, returning io.EOF at a clean end of file
-// and a descriptive error for anything torn or corrupt.
+// and a descriptive error for anything torn, corrupt, or spelled in a
+// form appendRecord never writes.
 func readRecord(r *bufio.Reader) (fp string, line []byte, err error) {
 	raw, err := r.ReadBytes('\n')
 	if err == io.EOF && len(raw) == 0 {
@@ -167,54 +167,24 @@ func readRecord(r *bufio.Reader) (fp string, line []byte, err error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("torn record: %w", err)
 	}
-	raw = raw[:len(raw)-1]
-	fields := bytes.SplitN(raw, []byte(" "), 5)
-	if len(fields) != 5 || string(fields[0]) != journalMagic {
+	fields := bytes.SplitN(raw[:len(raw)-1], []byte(" "), 5)
+	if len(fields) != 5 || len(fields[4]) > journalMaxLine {
 		return "", nil, fmt.Errorf("malformed record")
 	}
-	n, err := strconv.ParseInt(string(fields[2]), 10, 64)
-	if err != nil || n < 0 || n > journalMaxLine {
-		return "", nil, fmt.Errorf("bad record length")
-	}
-	sum, err := strconv.ParseUint(string(fields[3]), 16, 32)
-	if err != nil {
-		return "", nil, fmt.Errorf("bad record checksum")
-	}
-	line = fields[4]
-	if int64(len(line)) != n || crc32.Checksum(line, crcTable) != uint32(sum) {
+	fp, line = string(fields[1]), fields[4]
+	// Re-encoding checks the magic, the length and the CRC at once, and
+	// refuses leading zeros, signs and upper-case hex in the numbers.
+	if !bytes.Equal(appendRecord(nil, fp, line), raw) {
 		return "", nil, fmt.Errorf("record failed verification")
 	}
-	return string(fields[1]), append([]byte(nil), line...), nil
+	return fp, append([]byte(nil), line...), nil
 }
 
-// Get returns the journaled line for a fingerprint, if any. The returned
-// bytes are shared and must not be mutated (the same convention as the
-// fleet memo).
-func (j *Journal) Get(fp string) ([]byte, bool) {
-	if j == nil {
-		return nil, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	line, ok := j.entries[fp]
-	return line, ok
-}
-
-// Len reports the number of journaled cells.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
-// Append records one completed cell. Idempotent per fingerprint — the
-// first line wins, which is safe because every line for a fingerprint is
-// byte-identical by the determinism guarantee. Write failures are
-// counted but not fatal: the journal is an accelerant for recovery, not
-// a correctness dependency, so a full disk degrades to re-dispatching.
+// Append records one completed cell. The store calls it once per
+// fingerprint, on first insert; a repeat would only add a record that
+// replay skips. Write failures are counted but not fatal: the journal is
+// an accelerant for recovery, not a correctness dependency, so a full
+// disk degrades to re-dispatching.
 func (j *Journal) Append(fp string, line []byte) {
 	if j == nil {
 		return
@@ -224,11 +194,6 @@ func (j *Journal) Append(fp string, line []byte) {
 	if j.closed {
 		return
 	}
-	if _, ok := j.entries[fp]; ok {
-		return
-	}
-	j.entries[fp] = line
-	j.order = append(j.order, fp)
 	rec := appendRecord(make([]byte, 0, len(line)+len(fp)+32), fp, line)
 	if _, err := j.wal.Write(rec); err != nil {
 		j.writeErrors.Add(1)
@@ -239,22 +204,20 @@ func (j *Journal) Append(fp string, line []byte) {
 	j.appends.Add(1)
 }
 
-// Checkpoint compacts the journal: every entry is written to a temporary
-// file, fsynced, and renamed over the checkpoint — the atomic-replace
-// idiom the disk cache uses — after which the wal is truncated. A crash
-// at any point leaves either the old checkpoint + full wal or the new
-// checkpoint (+ a possibly stale wal, whose duplicate fingerprints are
-// ignored on replay); no interleaving loses an entry.
-func (j *Journal) Checkpoint() error {
+// checkpoint compacts the journal to the entries resident returns: they
+// are written to a temporary file, fsynced, and renamed over the
+// checkpoint — the atomic-replace idiom the disk cache uses — after
+// which the wal is truncated. A crash at any point leaves either the old
+// checkpoint + full wal or the new checkpoint (+ a possibly stale wal,
+// whose duplicate fingerprints are ignored on replay). resident runs
+// under the journal lock, so no Append can land in the wal between the
+// snapshot and the truncate and be lost. Nil-safe.
+func (j *Journal) checkpoint(resident func() []entry) error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.checkpointLocked()
-}
-
-func (j *Journal) checkpointLocked() error {
 	if j.closed {
 		return nil
 	}
@@ -265,8 +228,8 @@ func (j *Journal) checkpointLocked() error {
 	}
 	w := bufio.NewWriterSize(tmp, 1<<16)
 	var buf []byte
-	for _, fp := range j.order {
-		buf = appendRecord(buf[:0], fp, j.entries[fp])
+	for _, e := range resident() {
+		buf = appendRecord(buf[:0], e.key, e.line)
 		if _, err := w.Write(buf); err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
@@ -363,8 +326,9 @@ func (j *Journal) Close() error {
 // JournalStats is the journal block of the coordinator's /healthz.
 type JournalStats struct {
 	Enabled bool `json:"enabled"`
-	// Cells is the resident (and durable) journaled-cell count; Resumed
-	// is how many of those were replayed from disk at startup.
+	// Cells is the resident (and durable) journaled-cell count, bounded
+	// by Options.MemoEntries; Resumed is how many cells were resident
+	// after the startup replay. The store fills both.
 	Cells   int `json:"cells"`
 	Resumed int `json:"resumed_cells"`
 	// WALBytes is the size of the un-compacted tail.
@@ -378,19 +342,17 @@ type JournalStats struct {
 	LastCheckpoint  string `json:"last_checkpoint,omitempty"`
 }
 
-// Stats snapshots the journal counters; nil-safe (a nil journal reports
-// the disabled state).
+// Stats snapshots the journal's file counters; nil-safe (a nil journal
+// reports the disabled state).
 func (j *Journal) Stats() JournalStats {
 	if j == nil {
 		return JournalStats{}
 	}
 	j.mu.Lock()
-	cells, walBytes := len(j.entries), j.walBytes
+	walBytes := j.walBytes
 	j.mu.Unlock()
 	s := JournalStats{
 		Enabled:         true,
-		Cells:           cells,
-		Resumed:         j.resumed,
 		WALBytes:        walBytes,
 		Appends:         j.appends.Load(),
 		Checkpoints:     j.checkpoints.Load(),

@@ -1,155 +1,58 @@
 package coord
 
-import (
-	"fmt"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "repro/internal/metrics"
 
-// workerLatencyBuckets are histogram upper bounds in seconds for
-// per-worker dispatch latency — the same spread as the worker's own
-// request histogram, since a dispatch is one worker request.
-var workerLatencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60, 120}
-
-// cmetrics is the coordinator's hand-rolled Prometheus-text registry:
-// request counts by path/status, cell dispatch accounting, and one
-// latency histogram per worker so a straggling node is visible at a
-// glance.
+// cmetrics is the coordinator's /metrics: cell dispatch accounting,
+// request counts by path and status, one latency histogram per worker
+// so a straggling node is visible at a glance, and journal and fleet
+// values read at scrape time.
 type cmetrics struct {
-	dispatched      atomic.Uint64
-	retried         atomic.Uint64
-	hedged          atomic.Uint64
-	hedgeDuplicates atomic.Uint64
-	deduped         atomic.Uint64
-	resumeHits      atomic.Uint64
-	failed          atomic.Uint64
-	registrations   atomic.Uint64
-	evictions       atomic.Uint64
-	breakerOpens    atomic.Uint64
-	cancelled       atomic.Uint64
-
-	mu       sync.Mutex
-	requests map[[2]string]uint64 // {path, code} -> count
-	workers  map[string]*workerHist
+	metrics.Registry
+	dispatched      *metrics.Counter
+	retried         *metrics.Counter
+	hedged          *metrics.Counter
+	hedgeDuplicates *metrics.Counter
+	deduped         *metrics.Counter
+	resumeHits      *metrics.Counter
+	failed          *metrics.Counter
+	registrations   *metrics.Counter
+	evictions       *metrics.Counter
+	breakerOpens    *metrics.Counter
+	cancelled       *metrics.Counter
+	// requests counts finished coordinator requests by path and code.
+	// Coordinator endpoints are streaming merges whose duration is the
+	// sweep's, not the handler's, so latency lives in workers, the
+	// per-worker dispatch-attempt histograms.
+	requests *metrics.Vec
+	workers  *metrics.Vec
 }
 
-type workerHist struct {
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-func newCMetrics() *cmetrics {
-	return &cmetrics{
-		requests: make(map[[2]string]uint64),
-		workers:  make(map[string]*workerHist),
-	}
-}
-
-// observe records one finished coordinator request. Coordinator
-// endpoints are streaming merges whose duration is the sweep's, not the
-// handler's, so only counts are kept here; latency lives in the
-// per-worker histograms below.
-func (m *cmetrics) observe(path string, code int) {
-	m.mu.Lock()
-	m.requests[[2]string{path, fmt.Sprintf("%d", code)}]++
-	m.mu.Unlock()
-}
-
-// observeWorker records one dispatch attempt's latency against a worker.
-func (m *cmetrics) observeWorker(workerURL string, elapsed time.Duration) {
-	secs := elapsed.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.workers[workerURL]
-	if !ok {
-		h = &workerHist{buckets: make([]uint64, len(workerLatencyBuckets))}
-		m.workers[workerURL] = h
-	}
-	for i, le := range workerLatencyBuckets {
-		if secs <= le {
-			h.buckets[i]++
-		}
-	}
-	h.count++
-	h.sum += secs
-}
-
-// write renders the exposition text.
-func (m *cmetrics) write(w http.ResponseWriter, c *Coordinator) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("affinity_coord_cells_dispatched_total", "Cells sent to workers (first attempts; retries and hedges count separately).", m.dispatched.Load())
-	counter("affinity_coord_cells_retried_total", "Cell dispatch retries after a failed or timed-out attempt.", m.retried.Load())
-	counter("affinity_coord_cells_hedged_total", "Duplicate dispatches launched against straggling cells.", m.hedged.Load())
-	counter("affinity_coord_hedge_duplicates_discarded_total", "Straggler outcomes discarded because the hedge's twin already won the fingerprint.", m.hedgeDuplicates.Load())
-	counter("affinity_coord_cells_deduped_total", "Cells served from the fleet memo or coalesced onto an in-flight twin instead of dispatching.", m.deduped.Load())
-	counter("affinity_coord_cells_failed_total", "Cells that exhausted their retry budget.", m.failed.Load())
-	counter("affinity_coord_registrations_total", "Workers that joined the fleet.", m.registrations.Load())
-	counter("affinity_coord_evictions_total", "Workers evicted after consecutive missed heartbeats.", m.evictions.Load())
-	counter("affinity_coord_breaker_opens_total", "Worker circuit breakers opened (consecutive dispatch failures or a failed half-open probe).", m.breakerOpens.Load())
-	counter("affinity_coord_dispatches_cancelled_total", "Dispatch attempts cancelled because a twin already won the cell (hedge losers, abandoned requests).", m.cancelled.Load())
-	counter("affinity_coord_journal_resume_hits_total", "Cells served from the durable journal without dispatching.", m.resumeHits.Load())
-	js := c.journal.Stats()
-	counter("affinity_coord_journal_appends_total", "Cells appended to the durable journal this process.", js.Appends)
-	counter("affinity_coord_journal_corrupt_discards_total", "Corrupt or torn journal records discarded on replay.", js.CorruptDiscards)
-	counter("affinity_coord_journal_checkpoints_total", "Journal checkpoint compactions.", js.Checkpoints)
-	counter("affinity_coord_journal_write_errors_total", "Best-effort journal write failures.", js.WriteErrors)
-
-	h := c.health()
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("affinity_coord_workers_healthy", "Workers currently in the healthy set.", h.WorkersHealthy)
-	gauge("affinity_coord_workers_total", "Workers registered (healthy or not).", h.WorkersTotal)
-	gauge("affinity_coord_memo_entries", "Resident fleet-memo entries.", h.MemoEntries)
-	gauge("affinity_coord_journal_cells", "Cells resident in the durable journal.", h.Journal.Cells)
-	gauge("affinity_coord_journal_wal_bytes", "Un-compacted journal wal bytes.", int(h.Journal.WALBytes))
-	fmt.Fprintf(&b, "# HELP affinity_coord_fleet_sims_total Simulations executed across the fleet (sum of worker counters).\n# TYPE affinity_coord_fleet_sims_total counter\naffinity_coord_fleet_sims_total %d\n", h.Fleet.Sims)
-
-	m.mu.Lock()
-	fmt.Fprintf(&b, "# HELP affinity_coord_requests_total Coordinator HTTP requests, by path and status code.\n")
-	fmt.Fprintf(&b, "# TYPE affinity_coord_requests_total counter\n")
-	keys := make([][2]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "affinity_coord_requests_total{path=%q,code=%q} %d\n", k[0], k[1], m.requests[k])
-	}
-	fmt.Fprintf(&b, "# HELP affinity_coord_worker_request_seconds Dispatch latency per worker.\n")
-	fmt.Fprintf(&b, "# TYPE affinity_coord_worker_request_seconds histogram\n")
-	wkeys := make([]string, 0, len(m.workers))
-	for u := range m.workers {
-		wkeys = append(wkeys, u)
-	}
-	sort.Strings(wkeys)
-	for _, u := range wkeys {
-		wh := m.workers[u]
-		for i, le := range workerLatencyBuckets {
-			fmt.Fprintf(&b, "affinity_coord_worker_request_seconds_bucket{worker=%q,le=%q} %d\n", u, fmt.Sprintf("%g", le), wh.buckets[i])
-		}
-		fmt.Fprintf(&b, "affinity_coord_worker_request_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", u, wh.count)
-		fmt.Fprintf(&b, "affinity_coord_worker_request_seconds_sum{worker=%q} %g\n", u, wh.sum)
-		fmt.Fprintf(&b, "affinity_coord_worker_request_seconds_count{worker=%q} %d\n", u, wh.count)
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(&b, "# HELP affinity_coord_build_info Build identity of the coordinator binary.\n# TYPE affinity_coord_build_info gauge\naffinity_coord_build_info{version=%q} 1\n", c.version)
-
-	fmt.Fprint(w, b.String())
+func newCMetrics(c *Coordinator) *cmetrics {
+	m := &cmetrics{}
+	m.dispatched = m.Counter("affinity_coord_cells_dispatched_total", "Cells sent to workers (first attempts; retries and hedges count separately).")
+	m.retried = m.Counter("affinity_coord_cells_retried_total", "Cell dispatch retries after a failed or timed-out attempt.")
+	m.hedged = m.Counter("affinity_coord_cells_hedged_total", "Duplicate dispatches launched against straggling cells.")
+	m.hedgeDuplicates = m.Counter("affinity_coord_hedge_duplicates_discarded_total", "Straggler outcomes discarded because the hedge's twin already won the fingerprint.")
+	m.deduped = m.Counter("affinity_coord_cells_deduped_total", "Cells served from the fleet memo or coalesced onto an in-flight twin instead of dispatching.")
+	m.failed = m.Counter("affinity_coord_cells_failed_total", "Cells that exhausted their retry budget.")
+	m.registrations = m.Counter("affinity_coord_registrations_total", "Workers that joined the fleet.")
+	m.evictions = m.Counter("affinity_coord_evictions_total", "Workers evicted after consecutive missed heartbeats.")
+	m.breakerOpens = m.Counter("affinity_coord_breaker_opens_total", "Worker circuit breakers opened (consecutive dispatch failures or a failed half-open probe).")
+	m.cancelled = m.Counter("affinity_coord_dispatches_cancelled_total", "Dispatch attempts cancelled because a twin already won the cell (hedge losers, abandoned requests).")
+	m.resumeHits = m.Counter("affinity_coord_journal_resume_hits_total", "Cells served from the durable journal without dispatching.")
+	journal := c.store.journal
+	m.CounterFunc("affinity_coord_journal_appends_total", "Cells appended to the durable journal this process.", func() uint64 { return journal.Stats().Appends })
+	m.CounterFunc("affinity_coord_journal_corrupt_discards_total", "Corrupt or torn journal records discarded on replay.", func() uint64 { return journal.Stats().CorruptDiscards })
+	m.CounterFunc("affinity_coord_journal_checkpoints_total", "Journal checkpoint compactions.", func() uint64 { return journal.Stats().Checkpoints })
+	m.CounterFunc("affinity_coord_journal_write_errors_total", "Best-effort journal write failures.", func() uint64 { return journal.Stats().WriteErrors })
+	m.Gauge("affinity_coord_workers_healthy", "Workers currently in the healthy set.", func() float64 { return float64(c.health().WorkersHealthy) })
+	m.Gauge("affinity_coord_workers_total", "Workers registered (healthy or not).", func() float64 { return float64(c.health().WorkersTotal) })
+	m.Gauge("affinity_coord_memo_entries", "Resident fleet-memo entries.", func() float64 { return float64(c.store.len()) })
+	m.Gauge("affinity_coord_journal_cells", "Cells resident in the durable journal.", func() float64 { return float64(c.store.journalStats().Cells) })
+	m.Gauge("affinity_coord_journal_wal_bytes", "Un-compacted journal wal bytes.", func() float64 { return float64(journal.Stats().WALBytes) })
+	m.CounterFunc("affinity_coord_fleet_sims_total", "Simulations executed across the fleet (sum of worker counters).", func() uint64 { return c.health().Fleet.Sims })
+	m.requests = m.CounterVec("affinity_coord_requests_total", "Coordinator HTTP requests, by path and status code.", false, "path", "code")
+	m.workers = m.HistogramVec("affinity_coord_worker_request_seconds", "Dispatch latency per worker.", metrics.LatencyBuckets, "worker")
+	m.Info("affinity_coord_build_info", "Build identity of the coordinator binary.", "version", c.version)
+	return m
 }

@@ -1,135 +1,42 @@
 package serve
 
-import (
-	"fmt"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-)
+import "repro/internal/metrics"
 
-// latencyBuckets are the histogram upper bounds in seconds. Simulations
-// span milliseconds (cached) to minutes (full paper windows), so the
-// buckets stretch accordingly.
-var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60, 120}
-
-// metrics is the server's hand-rolled Prometheus-text registry: request
-// counts by path and status, one overall latency histogram, and gauges
-// sampled at scrape time (cache counters, in-flight work). No external
-// client library — the text exposition format is trivially writable.
-type metrics struct {
-	mu       sync.Mutex
-	requests map[[2]string]uint64 // {path, code} -> count
-	panics   map[string]uint64    // path -> recovered panics
-	buckets  []uint64
-	count    uint64
-	sum      float64
+// workerMetrics is the worker's /metrics: request counts by path and
+// status, one latency histogram and recovered panics, plus values read
+// at scrape time from the cache, the cancellation counters and the
+// concurrency limiter.
+type workerMetrics struct {
+	metrics.Registry
+	requests *metrics.Vec
+	latency  *metrics.Vec
+	panics   *metrics.Vec
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		requests: make(map[[2]string]uint64),
-		panics:   make(map[string]uint64),
-		buckets:  make([]uint64, len(latencyBuckets)),
-	}
-}
-
-// panicked records one recovered panic attributed to path.
-func (m *metrics) panicked(path string) {
-	m.mu.Lock()
-	m.panics[path]++
-	m.mu.Unlock()
-}
-
-// observe records one finished request.
-func (m *metrics) observe(path string, code int, elapsed time.Duration) {
-	secs := elapsed.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[[2]string{path, fmt.Sprintf("%d", code)}]++
-	for i, le := range latencyBuckets {
-		if secs <= le {
-			m.buckets[i]++
-		}
-	}
-	m.count++
-	m.sum += secs
-}
-
-// write renders the exposition text. gauges supplies point-in-time
-// values (cache stats, inflight counts) keyed by metric name, each with
-// a help string.
-func (m *metrics) write(w http.ResponseWriter, s *Server) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	m.mu.Lock()
-	fmt.Fprintf(&b, "# HELP affinity_requests_total HTTP requests served, by path and status code.\n")
-	fmt.Fprintf(&b, "# TYPE affinity_requests_total counter\n")
-	keys := make([][2]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "affinity_requests_total{path=%q,code=%q} %d\n", k[0], k[1], m.requests[k])
-	}
-	fmt.Fprintf(&b, "# HELP affinity_request_seconds Request latency.\n")
-	fmt.Fprintf(&b, "# TYPE affinity_request_seconds histogram\n")
-	for i, le := range latencyBuckets {
-		fmt.Fprintf(&b, "affinity_request_seconds_bucket{le=%q} %d\n", fmt.Sprintf("%g", le), m.buckets[i])
-	}
-	fmt.Fprintf(&b, "affinity_request_seconds_bucket{le=\"+Inf\"} %d\n", m.count)
-	fmt.Fprintf(&b, "affinity_request_seconds_sum %g\n", m.sum)
-	fmt.Fprintf(&b, "affinity_request_seconds_count %d\n", m.count)
-	fmt.Fprintf(&b, "# HELP affinity_panics_total Panics recovered by the request middleware, by path.\n")
-	fmt.Fprintf(&b, "# TYPE affinity_panics_total counter\n")
-	ppaths := make([]string, 0, len(m.panics))
-	for p := range m.panics {
-		ppaths = append(ppaths, p)
-	}
-	sort.Strings(ppaths)
-	for _, p := range ppaths {
-		fmt.Fprintf(&b, "affinity_panics_total{path=%q} %d\n", p, m.panics[p])
-	}
-	if len(ppaths) == 0 {
-		fmt.Fprintf(&b, "affinity_panics_total 0\n")
-	}
-	m.mu.Unlock()
-
-	cs := s.cache.Stats()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, format string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s "+format+"\n", name, help, name, name, v)
-	}
-	counter("affinity_cache_hits_total", "Result-cache in-memory hits.", cs.Hits)
-	counter("affinity_cache_coalesced_total", "Requests deduplicated onto an identical in-flight simulation (singleflight).", cs.Coalesced)
-	counter("affinity_cache_misses_total", "Result-cache misses (disk hits + simulations).", cs.Misses)
-	counter("affinity_cache_disk_hits_total", "Result-cache misses served from the on-disk store.", cs.DiskHits)
-	counter("affinity_cache_evictions_total", "Result-cache LRU evictions.", cs.Evictions)
-	counter("affinity_cache_disk_errors_total", "Best-effort disk store failures.", cs.DiskErrors)
-	counter("affinity_cache_corrupt_discards_total", "Corrupt persisted entries discarded (unlinked and treated as misses).", cs.CorruptDiscards)
-	counter("affinity_sims_total", "Simulations actually executed.", cs.Sims)
-	counter("affinity_sweep_cells_cancelled_total", "Sweep cells cancelled before dispatch because their NDJSON stream was abandoned.", s.sweepCancelled.Load())
-	counter("affinity_sims_cancelled_total", "Simulations cooperatively cancelled mid-run (request timed out or client gone).", s.simsCancelled.Load())
-	counter("affinity_sim_budget_aborts_total", "Simulations stopped by the wall-clock or cycle budget watchdog.", s.budgetAborts.Load())
-	counter("affinity_cache_aborts_total", "Aborted simulation results refused by the cache.", cs.Aborts)
-	gauge("affinity_cache_entries", "Resident result-cache entries.", "%d", cs.Entries)
-	gauge("affinity_cache_bytes", "Resident result-cache bytes.", "%d", cs.Bytes)
-	gauge("affinity_cache_hit_ratio", "Served-without-simulating ratio over all lookups.", "%g", cs.HitRatio())
-	gauge("affinity_sims_inflight", "Simulations executing right now.", "%d", cs.Inflight)
-	gauge("affinity_requests_inflight", "Requests holding a concurrency-limiter slot.", "%d", int64(len(s.sem)))
-	gauge("affinity_request_limit", "Concurrency-limiter capacity.", "%d", int64(cap(s.sem)))
-	gauge("affinity_worker_pool_depth", "Simulation worker-pool bound per sweep.", "%d", int64(s.runner.Workers()))
-	fmt.Fprintf(&b, "# HELP affinity_build_info Build identity of the serving binary.\n# TYPE affinity_build_info gauge\naffinity_build_info{version=%q} 1\n", s.version)
-
-	fmt.Fprint(w, b.String())
+func newMetrics(s *Server) *workerMetrics {
+	m := &workerMetrics{}
+	m.requests = m.CounterVec("affinity_requests_total", "HTTP requests served, by path and status code.", false, "path", "code")
+	m.latency = m.HistogramVec("affinity_request_seconds", "Request latency.", metrics.LatencyBuckets)
+	m.panics = m.CounterVec("affinity_panics_total", "Panics recovered by the request middleware, by path.", true, "path")
+	m.CounterFunc("affinity_cache_hits_total", "Result-cache in-memory hits.", func() uint64 { return s.cache.Stats().Hits })
+	m.CounterFunc("affinity_cache_coalesced_total", "Requests deduplicated onto an identical in-flight simulation (singleflight).", func() uint64 { return s.cache.Stats().Coalesced })
+	m.CounterFunc("affinity_cache_misses_total", "Result-cache misses (disk hits + simulations).", func() uint64 { return s.cache.Stats().Misses })
+	m.CounterFunc("affinity_cache_disk_hits_total", "Result-cache misses served from the on-disk store.", func() uint64 { return s.cache.Stats().DiskHits })
+	m.CounterFunc("affinity_cache_evictions_total", "Result-cache LRU evictions.", func() uint64 { return s.cache.Stats().Evictions })
+	m.CounterFunc("affinity_cache_disk_errors_total", "Best-effort disk store failures.", func() uint64 { return s.cache.Stats().DiskErrors })
+	m.CounterFunc("affinity_cache_corrupt_discards_total", "Corrupt persisted entries discarded (unlinked and treated as misses).", func() uint64 { return s.cache.Stats().CorruptDiscards })
+	m.CounterFunc("affinity_sims_total", "Simulations actually executed.", func() uint64 { return s.cache.Stats().Sims })
+	m.CounterFunc("affinity_sweep_cells_cancelled_total", "Sweep cells cancelled before dispatch because their NDJSON stream was abandoned.", s.sweepCancelled.Load)
+	m.CounterFunc("affinity_sims_cancelled_total", "Simulations cooperatively cancelled mid-run (request timed out or client gone).", s.simsCancelled.Load)
+	m.CounterFunc("affinity_sim_budget_aborts_total", "Simulations stopped by the wall-clock or cycle budget watchdog.", s.budgetAborts.Load)
+	m.CounterFunc("affinity_cache_aborts_total", "Aborted simulation results refused by the cache.", func() uint64 { return s.cache.Stats().Aborts })
+	m.Gauge("affinity_cache_entries", "Resident result-cache entries.", func() float64 { return float64(s.cache.Stats().Entries) })
+	m.Gauge("affinity_cache_bytes", "Resident result-cache bytes.", func() float64 { return float64(s.cache.Stats().Bytes) })
+	m.Gauge("affinity_cache_hit_ratio", "Served-without-simulating ratio over all lookups.", func() float64 { return s.cache.Stats().HitRatio() })
+	m.Gauge("affinity_sims_inflight", "Simulations executing right now.", func() float64 { return float64(s.cache.Stats().Inflight) })
+	m.Gauge("affinity_requests_inflight", "Requests holding a concurrency-limiter slot.", func() float64 { return float64(len(s.sem)) })
+	m.Gauge("affinity_request_limit", "Concurrency-limiter capacity.", func() float64 { return float64(cap(s.sem)) })
+	m.Gauge("affinity_worker_pool_depth", "Simulation worker-pool bound per sweep.", func() float64 { return float64(s.runner.Workers()) })
+	m.Info("affinity_build_info", "Build identity of the serving binary.", "version", s.version)
+	return m
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -89,7 +90,7 @@ type Server struct {
 	// RunRequest.Coalesce when a request leaves them empty.
 	defaultWorkload string
 	defaultCoalesce string
-	metrics         *metrics
+	metrics         *workerMetrics
 	engines         engineAgg
 	// runCtl executes one cell under a cooperative cancel signal; the
 	// default threads the signal into core.RunControlled, a substituted
@@ -175,7 +176,6 @@ func New(opts Options) *Server {
 		version:         opts.Version,
 		defaultWorkload: opts.DefaultWorkload,
 		defaultCoalesce: opts.DefaultCoalesce,
-		metrics:         newMetrics(),
 		mux:             http.NewServeMux(),
 	}
 	if s.runner == nil {
@@ -215,15 +215,14 @@ func New(opts Options) *Server {
 		inflight = 2 * s.runner.Workers()
 	}
 	s.sem = make(chan struct{}, inflight)
+	s.metrics = newMetrics(s)
 
 	s.mux.HandleFunc("POST /v1/run", s.instrument("/v1/run", s.handleRun))
 	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
 	s.mux.HandleFunc("GET /v1/verify", s.instrument("/v1/verify", s.handleVerify))
 	s.mux.HandleFunc("GET /v1/ping", s.instrument("/v1/ping", s.handlePing))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.write(w, s)
-	}))
+	s.mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.metrics.ServeHTTP))
 	return s
 }
 
@@ -237,27 +236,27 @@ func (s *Server) Cache() *cache.Cache { return s.cache }
 // this node advertises to a coordinator.
 func (s *Server) Limit() int { return cap(s.sem) }
 
-// statusWriter captures the status code (for metrics) and whether any
+// StatusWriter captures the status code (for metrics) and whether any
 // response bytes went out (so panic recovery knows if a 500 can still
-// be written).
-type statusWriter struct {
+// be written). The worker's and the coordinator's middleware share it.
+type StatusWriter struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	Code  int
+	Wrote bool
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.wrote = true
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Code = code
+	w.Wrote = true
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
+func (w *StatusWriter) Write(b []byte) (int, error) {
+	w.Wrote = true
 	return w.ResponseWriter.Write(b)
 }
 
-func (w *statusWriter) Flush() {
+func (w *StatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -273,16 +272,17 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		defer func() {
 			if v := recover(); v != nil {
-				s.metrics.panicked(path)
-				sw.code = http.StatusInternalServerError
-				if !sw.wrote {
-					httpError(w, http.StatusInternalServerError, "internal error: %v", v)
+				s.metrics.panics.Inc(path)
+				sw.Code = http.StatusInternalServerError
+				if !sw.Wrote {
+					HTTPError(w, http.StatusInternalServerError, "internal error: %v", v)
 				}
 			}
-			s.metrics.observe(path, sw.code, time.Since(start))
+			s.metrics.requests.Inc(path, strconv.Itoa(sw.Code))
+			s.metrics.latency.Observe(time.Since(start).Seconds())
 		}()
 		h(sw, r.WithContext(ctx))
 	}
@@ -304,19 +304,20 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) func() {
 		return func() { <-s.sem }
 	case <-r.Context().Done():
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "simulation capacity saturated")
+		HTTPError(w, http.StatusServiceUnavailable, "simulation capacity saturated")
 		return nil
 	}
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+// HTTPError answers code with a JSON body {"error": message}.
+func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // fieldError is a request-validation failure attributable to one JSON
-// field; badRequest surfaces the field name in the error body so
+// field; BadRequest surfaces the field name in the error body so
 // clients can map the 400 back to their input.
 type fieldError struct {
 	field string
@@ -330,24 +331,13 @@ func fieldErrf(field, format string, args ...any) error {
 	return &fieldError{field: field, err: fmt.Errorf(format, args...)}
 }
 
-// FieldOf reports the offending request field when err is a
-// field-attributable validation failure from Config/Expand — the
-// coordinator reuses this to render the same 400 shape as the worker
-// API.
-func FieldOf(err error) (string, bool) {
-	var fe *fieldError
-	if errors.As(err, &fe) {
-		return fe.field, true
-	}
-	return "", false
-}
-
-// badRequest renders a validation error as a 400. Field-attributable
-// failures carry a "field" key alongside "error".
-func badRequest(w http.ResponseWriter, err error) {
+// BadRequest renders a validation error from Config or Expand as a
+// 400. Field-attributable failures carry a "field" key alongside
+// "error".
+func BadRequest(w http.ResponseWriter, err error) {
 	var fe *fieldError
 	if !errors.As(err, &fe) {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -364,7 +354,7 @@ func badRequest(w http.ResponseWriter, err error) {
 func (s *Server) runSafe(path string, cfg core.Config) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.metrics.panicked(path)
+			s.metrics.panics.Inc(path)
 			res, err = nil, fmt.Errorf("simulation panicked: %v", v)
 		}
 	}()
@@ -410,7 +400,7 @@ func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (*co
 func (s *Server) runSafeControlled(path string, cfg core.Config, cancel *core.Cancel) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.metrics.panicked(path)
+			s.metrics.panics.Inc(path)
 			res, err = nil, fmt.Errorf("simulation panicked: %v", v)
 		}
 	}()
@@ -564,12 +554,13 @@ func (rq RunRequest) Config() (core.Config, error) {
 	return cfg, nil
 }
 
-// decode reads a strict JSON body (unknown fields are client errors).
-func decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
+// Decode reads a strict JSON body (unknown fields are client errors),
+// answering a 400 and returning false when it does not parse.
+func Decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		HTTPError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}
 	return true
@@ -578,7 +569,7 @@ func decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
 // handleRun simulates (or serves from cache) one cell.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rq RunRequest
-	if !decode(w, r, &rq) {
+	if !Decode(w, r, &rq) {
 		return
 	}
 	if rq.Workload == "" {
@@ -589,7 +580,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg, err := rq.Config()
 	if err != nil {
-		badRequest(w, err)
+		BadRequest(w, err)
 		return
 	}
 	release := s.acquire(w, r)
@@ -609,17 +600,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	select {
 	case o := <-done:
 		if o.err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", o.err)
+			HTTPError(w, http.StatusInternalServerError, "%v", o.err)
 			return
 		}
 		if o.res == nil || o.res.Aborted {
-			httpError(w, http.StatusServiceUnavailable, "simulation aborted: %s", abortReason(o.res))
+			HTTPError(w, http.StatusServiceUnavailable, "simulation aborted: %s", abortReason(o.res))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		out, err := o.res.JSON()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding result: %v", err)
+			HTTPError(w, http.StatusInternalServerError, "encoding result: %v", err)
 			return
 		}
 		fmt.Fprintln(w, out)
@@ -627,7 +618,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The watcher inside runCell has already tripped the cancel: the
 		// simulation aborts at its next engine poll and frees its slot —
 		// nothing keeps burning cycles behind this 503.
-		httpError(w, http.StatusServiceUnavailable, "request timed out; simulation cancelled")
+		HTTPError(w, http.StatusServiceUnavailable, "request timed out; simulation cancelled")
 	}
 }
 
@@ -725,7 +716,7 @@ func ModeToken(m core.Mode) string {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var rq SweepRequest
-	if !decode(w, r, &rq) {
+	if !Decode(w, r, &rq) {
 		return
 	}
 	if rq.Workload == "" {
@@ -736,7 +727,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	cells, err := rq.Expand()
 	if err != nil {
-		badRequest(w, err)
+		BadRequest(w, err)
 		return
 	}
 	release := s.acquire(w, r)
@@ -819,20 +810,20 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var seed uint64 = 1
 	if v := q.Get("seed"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &seed); err != nil {
-			httpError(w, http.StatusBadRequest, "bad seed %q", v)
+			HTTPError(w, http.StatusBadRequest, "bad seed %q", v)
 			return
 		}
 	}
 	var warmup, measure uint64
 	if v := q.Get("warmup_cycles"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &warmup); err != nil {
-			httpError(w, http.StatusBadRequest, "bad warmup_cycles %q", v)
+			HTTPError(w, http.StatusBadRequest, "bad warmup_cycles %q", v)
 			return
 		}
 	}
 	if v := q.Get("measure_cycles"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &measure); err != nil {
-			httpError(w, http.StatusBadRequest, "bad measure_cycles %q", v)
+			HTTPError(w, http.StatusBadRequest, "bad measure_cycles %q", v)
 			return
 		}
 	}
@@ -878,7 +869,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		enc.SetIndent("", "  ")
 		enc.Encode(resp)
 	case <-r.Context().Done():
-		httpError(w, http.StatusServiceUnavailable, "request timed out; results will be cached for retry")
+		HTTPError(w, http.StatusServiceUnavailable, "request timed out; results will be cached for retry")
 	}
 }
 
