@@ -161,7 +161,7 @@ type Kernel struct {
 
 	irqActions map[apic.Vector]*IRQAction
 	softirqs   [numSoftirqs]SoftirqHandler
-	timers     *timerWheel
+	timers     timerHeap
 	tasks      []*Task
 
 	// Internal procedures.
@@ -254,7 +254,7 @@ func New(cfg Config) *Kernel {
 	k.procTick = k.NewProc("smp_apic_timer_interrupt", perf.BinOther, 512)
 	k.procTimerRun = k.NewProc("run_timer_list", perf.BinOther, 768)
 	k.procDoSoftirq = k.NewProc("do_softirq", perf.BinOther, 512)
-	k.timers = newTimerWheel()
+	k.timers.pending = make([][]*Timer, cfg.NumCPUs)
 	k.RegisterSoftirq(SoftirqTimer, k.runTimers)
 
 	k.balanceCountdown = k.Tune.BalanceTicks

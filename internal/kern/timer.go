@@ -1,8 +1,6 @@
 package kern
 
 import (
-	"math/bits"
-
 	"repro/internal/cpu"
 	"repro/internal/sim"
 )
@@ -13,283 +11,106 @@ import (
 // almost never fire — the arming itself is the Timers-bin cost.
 type Timer struct {
 	expires sim.Time
-	fn      func(env *Env)
-	slot    int32 // wheel arena slot, -1 when inactive
 	seq     uint64
+	fn      func(env *Env)
+	slot    int32 // index in the timer heap, -1 when disarmed
 }
 
 // Active reports whether the timer is armed.
 func (t *Timer) Active() bool { return t.slot >= 0 }
 
-// The wheel mirrors internal/sim's two-tier ladder: a band of
-// coarse-grained buckets covering the next ~33 M cycles (comfortably past
-// the delayed-ACK 400 k, the usual RTO of a few million, and a full
-// 20 M-cycle tick period) backed by a 4-ary overflow heap for long
-// horizons. Unlike the engine's one-cycle buckets, a timer bucket spans
-// 2^timerBandShift cycles and so holds several distinct deadlines; chains
-// are therefore kept sorted by (expires, seq) on insert — arm/disarm
-// churn dominates and chains stay tiny, so sorted insertion is cheaper
-// than any per-expiry sort.
-//
-// The expiry path does not assume tier disjointness: it merges the band
-// minimum and heap minimum by (expires, seq), so overdue arms (expires in
-// the past — legal, they fire at the next tick) are handled wherever they
-// landed. The band base is kept bucket-aligned so each bucket maps to one
-// contiguous time range within the window, making "first occupied bucket's
-// chain head" the exact band minimum.
-const (
-	timerBandShift   = 15
-	timerBandBuckets = 1 << 10
-	timerBandMask    = timerBandBuckets - 1
-	timerBandWords   = timerBandBuckets / 64
-	timerBucketAlign = sim.Time(1)<<timerBandShift - 1
-	timerBandSpan    = sim.Time(timerBandBuckets) << timerBandShift
-)
+// timerArity is the timer heap's fan-out: a 4-ary heap is half as deep
+// as a binary one, which favours the sift-down of every expiry.
+const timerArity = 4
 
-// timerCompactMinDead matches internal/sim's threshold before a tier is
-// swept of disarmed entries.
-const timerCompactMinDead = 64
-
-const timerHeapArity = 4
-
-type timerWheel struct {
-	// Struct-of-arrays slot arena. A slot is one armed instance of a
-	// timer; disarm/re-arm kills the slot (lazily reaped) and re-arm
-	// inserts a new one. owners back-references let expiry hand the
-	// *Timer to the softirq pass.
-	expires []sim.Time
-	seqs    []uint64
-	owners  []*Timer
-	nexts   []int32 // bucket chain link, slot+1 (0 = end)
-	deads   []bool
-	inHeap  []bool
-	free    []int32
-
-	base     sim.Time // bucket-aligned start of the band window
-	bandLive int
-	bandDead int
-	heads    [timerBandBuckets]int32 // slot+1, 0 = empty
-	tails    [timerBandBuckets]int32
-	bitmap   [timerBandWords]uint64
-
-	heap     []int32
-	heapDead int
-
+// timerHeap holds every armed timer in one min-heap ordered by
+// (expires, seq). The order is total, so expiry order depends only on
+// deadlines and arming order, never on the heap's shape. No ladder is
+// needed: the simulated Timers-bin cost is charged by the mod_timer and
+// del_timer procs, not by this structure, and the armed population is
+// about two timers per connection.
+type timerHeap struct {
+	heap []*Timer
 	seq  uint64
-	live int
-	// expired timers awaiting their softirq pass, per CPU.
-	pending map[int][]*Timer
+	// pending holds expired timers awaiting their softirq pass, per CPU.
+	pending [][]*Timer
 }
 
-func newTimerWheel() *timerWheel {
-	return &timerWheel{pending: make(map[int][]*Timer)}
-}
-
-// slotLess orders slots by (expires, seq); the order is total, so expiry
-// order is independent of wheel internals.
-func (w *timerWheel) slotLess(a, b int32) bool {
-	if w.expires[a] != w.expires[b] {
-		return w.expires[a] < w.expires[b]
+// timerLess orders timers by (expires, seq).
+func timerLess(a, b *Timer) bool {
+	if a.expires != b.expires {
+		return a.expires < b.expires
 	}
-	return w.seqs[a] < w.seqs[b]
+	return a.seq < b.seq
 }
 
-func (w *timerWheel) alloc() int32 {
-	if n := len(w.free); n > 0 {
-		i := w.free[n-1]
-		w.free = w.free[:n-1]
-		return i
-	}
-	i := int32(len(w.expires))
-	w.expires = append(w.expires, 0)
-	w.seqs = append(w.seqs, 0)
-	w.owners = append(w.owners, nil)
-	w.nexts = append(w.nexts, 0)
-	w.deads = append(w.deads, false)
-	w.inHeap = append(w.inHeap, false)
-	return i
+// set places t at index j.
+func (h *timerHeap) set(j int, t *Timer) {
+	h.heap[j] = t
+	t.slot = int32(j)
 }
 
-func (w *timerWheel) freeSlot(i int32) {
-	w.owners[i] = nil
-	w.free = append(w.free, i)
-}
-
-func (w *timerWheel) bucket(t sim.Time) int {
-	return int(t>>timerBandShift) & timerBandMask
-}
-
-// bandInsert places slot i into its bucket chain, sorted by
-// (expires, seq). Dead entries keep their keys, so the whole chain stays
-// sorted and expiry can skip them without re-ordering.
-func (w *timerWheel) bandInsert(i int32) {
-	b := w.bucket(w.expires[i])
-	w.inHeap[i] = false
-	w.bandLive++
-	// Fast path: fresh arms draw monotone sequence numbers, so clustered
-	// same-bucket arms append at the tail in O(1).
-	if tail := w.tails[b]; tail != 0 && !w.slotLess(i, tail-1) {
-		w.nexts[i] = 0
-		w.nexts[tail-1] = i + 1
-		w.tails[b] = i + 1
-		return
-	}
-	var prev int32
-	for p := w.heads[b]; p != 0; p = w.nexts[p-1] {
-		if w.slotLess(i, p-1) {
-			break
-		}
-		prev = p
-	}
-	if prev == 0 {
-		w.nexts[i] = w.heads[b]
-		w.heads[b] = i + 1
-		w.bitmap[b>>6] |= 1 << uint(b&63)
-	} else {
-		w.nexts[i] = w.nexts[prev-1]
-		w.nexts[prev-1] = i + 1
-	}
-	if w.nexts[i] == 0 {
-		w.tails[b] = i + 1
-	}
-}
-
-func (w *timerWheel) heapPush(i int32) {
-	w.inHeap[i] = true
-	h := append(w.heap, i)
-	j := len(h) - 1
+// up sifts the timer at j toward the root.
+func (h *timerHeap) up(j int) {
+	t := h.heap[j]
 	for j > 0 {
-		p := (j - 1) / timerHeapArity
-		if !w.slotLess(i, h[p]) {
+		p := (j - 1) / timerArity
+		if !timerLess(t, h.heap[p]) {
 			break
 		}
-		h[j] = h[p]
+		h.set(j, h.heap[p])
 		j = p
 	}
-	h[j] = i
-	w.heap = h
+	h.set(j, t)
 }
 
-func (w *timerWheel) heapPop() int32 {
-	h := w.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	w.heap = h[:n]
-	if n > 0 {
-		w.heapSiftDown(0, last)
-	}
-	w.inHeap[top] = false
-	return top
-}
-
-func (w *timerWheel) heapSiftDown(j int, x int32) {
-	h := w.heap
-	n := len(h)
+// down sifts the timer at j toward the leaves and reports whether it
+// moved.
+func (h *timerHeap) down(j int) bool {
+	t := h.heap[j]
+	n := len(h.heap)
+	start := j
 	for {
-		first := timerHeapArity*j + 1
+		first := timerArity*j + 1
 		if first >= n {
 			break
 		}
-		min := first
-		last := first + timerHeapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if w.slotLess(h[c], h[min]) {
-				min = c
+		m := first
+		for c := first + 1; c < min(first+timerArity, n); c++ {
+			if timerLess(h.heap[c], h.heap[m]) {
+				m = c
 			}
 		}
-		if !w.slotLess(h[min], x) {
+		if !timerLess(h.heap[m], t) {
 			break
 		}
-		h[j] = h[min]
-		j = min
+		h.set(j, h.heap[m])
+		j = m
 	}
-	h[j] = x
+	h.set(j, t)
+	return j != start
 }
 
-func (w *timerWheel) compactHeap() {
-	h := w.heap[:0]
-	for _, i := range w.heap {
-		if w.deads[i] {
-			w.inHeap[i] = false
-			w.freeSlot(i)
-			continue
-		}
-		h = append(h, i)
-	}
-	w.heap = h
-	if n := len(h); n > 1 {
-		for j := (n - 2) / timerHeapArity; j >= 0; j-- {
-			w.heapSiftDown(j, h[j])
-		}
-	}
-	w.heapDead = 0
-}
-
-// sweepBand filters disarmed entries out of every bucket chain, keeping
-// chain order, and recycles their slots.
-func (w *timerWheel) sweepBand() {
-	for wd := range w.bitmap {
-		bw := w.bitmap[wd]
-		for bw != 0 {
-			b := wd<<6 + bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			var head, tail int32
-			for p := w.heads[b]; p != 0; {
-				i := p - 1
-				p = w.nexts[i]
-				if w.deads[i] {
-					w.freeSlot(i)
-					continue
-				}
-				w.nexts[i] = 0
-				if tail != 0 {
-					w.nexts[tail-1] = i + 1
-				} else {
-					head = i + 1
-				}
-				tail = i + 1
-			}
-			w.heads[b] = head
-			w.tails[b] = tail
-			if head == 0 {
-				w.bitmap[wd] &^= 1 << uint(b&63)
-			}
-		}
-	}
-	w.bandDead = 0
-}
-
-// kill marks slot i disarmed; the slot is reaped lazily by expiry or a
-// compaction sweep.
-func (w *timerWheel) kill(i int32) {
-	w.deads[i] = true
-	w.owners[i] = nil
-	w.live--
-	if w.inHeap[i] {
-		w.heapDead++
-		if w.heapDead >= timerCompactMinDead && w.heapDead*2 > len(w.heap) {
-			w.compactHeap()
-		}
-	} else {
-		w.bandLive--
-		w.bandDead++
-		if w.bandDead >= timerCompactMinDead && w.bandDead*2 > w.bandLive {
-			w.sweepBand()
-		}
+// fix restores heap order after the timer at j changed its deadline.
+func (h *timerHeap) fix(j int) {
+	if !h.down(j) {
+		h.up(j)
 	}
 }
 
-// insert places slot i in the tier its deadline calls for.
-func (w *timerWheel) insert(i int32) {
-	if e := w.expires[i]; e >= w.base && e-w.base < timerBandSpan {
-		w.bandInsert(i)
-	} else {
-		w.heapPush(i)
+// remove takes the timer at j out of the heap and disarms it.
+func (h *timerHeap) remove(j int) *Timer {
+	t := h.heap[j]
+	n := len(h.heap) - 1
+	last := h.heap[n]
+	h.heap[n] = nil
+	h.heap = h.heap[:n]
+	if j < n {
+		h.set(j, last)
+		h.fix(j)
 	}
+	t.slot = -1
+	return t
 }
 
 // NewTimer creates an inactive timer with handler fn. The handler runs in
@@ -298,190 +119,43 @@ func (k *Kernel) NewTimer(fn func(env *Env)) *Timer {
 	return &Timer{fn: fn, slot: -1}
 }
 
-// ModTimer (re)arms t to fire at expires. Re-arming an armed timer keeps
-// its sequence number — the timer moves to its new deadline but keeps its
-// place among same-deadline peers, exactly as the heap fix-up used to
-// behave — while a fresh arm draws the next sequence number.
+// ModTimer (re)arms t to fire at expires. Re-arming an armed timer moves
+// it in place and keeps its sequence number, so it keeps its place among
+// same-deadline peers; a fresh arm draws the next sequence number.
 func (k *Kernel) ModTimer(t *Timer, expires sim.Time) {
-	w := k.timers
+	h := &k.timers
 	t.expires = expires
 	if t.slot >= 0 {
-		w.kill(t.slot)
-		w.live++ // kill counts a disarm; a re-arm is net zero
-	} else {
-		w.seq++
-		t.seq = w.seq
-		w.live++
+		h.fix(int(t.slot))
+		return
 	}
-	i := w.alloc()
-	w.expires[i] = expires
-	w.seqs[i] = t.seq
-	w.owners[i] = t
-	w.deads[i] = false
-	t.slot = i
-	w.insert(i)
+	h.seq++
+	t.seq = h.seq
+	h.heap = append(h.heap, t)
+	h.up(len(h.heap) - 1)
 }
 
 // DelTimer disarms t if armed.
 func (k *Kernel) DelTimer(t *Timer) {
 	if t.slot >= 0 {
-		k.timers.kill(t.slot)
-		t.slot = -1
+		k.timers.remove(int(t.slot))
 	}
 }
 
 // ArmedTimers reports how many timers are armed (tests).
-func (k *Kernel) ArmedTimers() int { return k.timers.live }
+func (k *Kernel) ArmedTimers() int { return len(k.timers.heap) }
 
-// bandMin returns the earliest live band slot without removing it,
-// reaping dead entries it scans past. Buckets ascend in time circularly
-// from the base bucket and chains are sorted, so the first live head is
-// the band minimum.
-func (w *timerWheel) bandMin() (int32, bool) {
-	s := w.bucket(w.base)
-	for k := 0; k < timerBandWords; k++ {
-		wd := (s>>6 + k) & (timerBandWords - 1)
-		for w.bitmap[wd] != 0 {
-			bw := w.bitmap[wd]
-			if k == 0 {
-				// Buckets below the base bucket in the start word are
-				// the very end of the window; they are scanned last,
-				// after the full circular pass.
-				bw &^= 1<<uint(s&63) - 1
-				if bw == 0 {
-					break
-				}
-			}
-			b := wd<<6 + bits.TrailingZeros64(bw)
-			p := w.heads[b]
-			if p == 0 {
-				// Bit set but chain empty cannot happen; defensive.
-				w.bitmap[wd] &^= 1 << uint(b&63)
-				continue
-			}
-			i := p - 1
-			if w.deads[i] {
-				w.unlinkHead(b, i)
-				w.bandDead--
-				w.freeSlot(i)
-				continue
-			}
-			return i, true
-		}
-	}
-	// Wrapped low buckets of the start word.
-	if s&63 != 0 {
-		for {
-			bw := w.bitmap[s>>6] & (1<<uint(s&63) - 1)
-			if bw == 0 {
-				break
-			}
-			b := s>>6<<6 + bits.TrailingZeros64(bw)
-			p := w.heads[b]
-			if p == 0 {
-				w.bitmap[s>>6] &^= 1 << uint(b&63)
-				continue
-			}
-			i := p - 1
-			if w.deads[i] {
-				w.unlinkHead(b, i)
-				w.bandDead--
-				w.freeSlot(i)
-				continue
-			}
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// unlinkHead removes slot i, the head of bucket b's chain.
-func (w *timerWheel) unlinkHead(b int, i int32) {
-	w.heads[b] = w.nexts[i]
-	if w.nexts[i] == 0 {
-		w.tails[b] = 0
-		w.bitmap[b>>6] &^= 1 << uint(b&63)
-	}
-}
-
-// bandRemove unlinks slot i, known to be the head of its bucket chain.
-func (w *timerWheel) bandRemove(i int32) {
-	w.unlinkHead(w.bucket(w.expires[i]), i)
-	w.bandLive--
-}
-
-// heapMin returns the earliest live heap slot without removing it,
-// reaping dead tops.
-func (w *timerWheel) heapMin() (int32, bool) {
-	for len(w.heap) > 0 {
-		i := w.heap[0]
-		if !w.deads[i] {
-			return i, true
-		}
-		w.heapPop()
-		w.heapDead--
-		w.freeSlot(i)
-	}
-	return 0, false
-}
-
-// advanceTo slides the band window up to now (bucket-aligned) and
-// migrates newly covered heap entries into their buckets.
-func (w *timerWheel) advanceTo(now sim.Time) {
-	base := now &^ timerBucketAlign
-	if base <= w.base {
-		return
-	}
-	w.base = base
-	for {
-		i, ok := w.heapMin()
-		if !ok {
-			break
-		}
-		e := w.expires[i]
-		if e < base || e-base >= timerBandSpan {
-			break
-		}
-		w.heapPop()
-		w.bandInsert(i)
-	}
-}
-
-// expireTimers moves due timers to c's pending list and raises the timer
-// softirq there, mirroring 2.4's "timers run as a bottom half on the CPU
-// that took the tick". Due timers are drawn from both tiers in strict
-// (expires, seq) order.
+// expireTimers moves due timers to c's pending list, in (expires, seq)
+// order, and raises the timer softirq there, mirroring 2.4's "timers run
+// as a bottom half on the CPU that took the tick".
 func (k *Kernel) expireTimers(c *KCPU) {
-	w := k.timers
+	h := &k.timers
 	now := k.Eng.Now()
 	moved := false
-	for {
-		bi, bok := w.bandMin()
-		hi, hok := w.heapMin()
-		if !bok && !hok {
-			break
-		}
-		useBand := bok && (!hok || w.slotLess(bi, hi))
-		i := hi
-		if useBand {
-			i = bi
-		}
-		if w.expires[i] > now {
-			break
-		}
-		if useBand {
-			w.bandRemove(i)
-		} else {
-			w.heapPop()
-		}
-		t := w.owners[i]
-		w.freeSlot(i)
-		t.slot = -1
-		w.live--
-		w.pending[c.id] = append(w.pending[c.id], t)
+	for len(h.heap) > 0 && h.heap[0].expires <= now {
+		h.pending[c.id] = append(h.pending[c.id], h.remove(0))
 		moved = true
 	}
-	w.advanceTo(now)
 	if moved {
 		c.RaiseSoftirq(SoftirqTimer)
 	}
@@ -500,5 +174,11 @@ func (k *Kernel) runTimers(env *Env) {
 		if t.fn != nil {
 			t.fn(env)
 		}
+	}
+	// Hand the drained list back for reuse unless a tick during the pass
+	// has already started a new one.
+	if k.timers.pending[c.id] == nil {
+		clear(pend)
+		k.timers.pending[c.id] = pend[:0]
 	}
 }

@@ -28,7 +28,7 @@ func benchKernel(b *testing.B, cpus int) (*sim.Engine, *Kernel) {
 
 // BenchmarkTimerArmDisarm is TCP's dominant timer pattern: arm a
 // retransmit deadline, then disarm it when the ACK lands before it
-// fires. Near-horizon deadlines, so this exercises the band tier.
+// fires. Near-horizon deadlines.
 func BenchmarkTimerArmDisarm(b *testing.B) {
 	_, k := benchKernel(b, 1)
 	tm := k.NewTimer(nil)
@@ -53,18 +53,18 @@ func BenchmarkTimerModChurn(b *testing.B) {
 }
 
 // BenchmarkTimerSpread measures churn across a large armed population —
-// many flows each holding a retransmit timer — so arm/disarm pays for
-// tier placement with both bands occupied.
+// many flows each holding a retransmit timer — so each re-arm sifts
+// through a deep heap.
 func BenchmarkTimerSpread(b *testing.B) {
 	_, k := benchKernel(b, 1)
 	const flows = 512
 	timers := make([]*Timer, flows)
 	for i := range timers {
 		timers[i] = k.NewTimer(nil)
-		// Half near-horizon, half beyond the band span.
+		// Half near-horizon, half far beyond the tick period.
 		at := sim.Time(2_000_000 + i*1000)
 		if i%2 == 1 {
-			at = sim.Time(uint64(timerBandSpan) + uint64(i)*100_000)
+			at = sim.Time(1<<26 + uint64(i)*100_000)
 		}
 		k.ModTimer(timers[i], at)
 	}

@@ -348,19 +348,6 @@ func BadRequest(w http.ResponseWriter, err error) {
 	})
 }
 
-// runSafe executes one cell, converting a simulator panic into an
-// error (and a tick of affinity_panics_total) instead of a dead
-// worker goroutine.
-func (s *Server) runSafe(path string, cfg core.Config) (res *core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.metrics.panics.Inc(path)
-			res, err = nil, fmt.Errorf("simulation panicked: %v", v)
-		}
-	}()
-	return s.run(cfg), nil
-}
-
 // runCell executes one cell under the server's cancellation umbrella:
 // the request context, the wall-clock sim budget, and the cycle cap all
 // funnel into one cooperative cancel the engine polls at ladder-bucket
@@ -395,8 +382,10 @@ func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (*co
 	return res, err
 }
 
-// runSafeControlled is runSafe through the cache with a live cancel
-// signal threaded to the run beneath it.
+// runSafeControlled executes one cell through the cache with a live
+// cancel signal threaded to the run beneath it, converting a simulator
+// panic into an error (and a tick of affinity_panics_total) instead of
+// a dead worker goroutine.
 func (s *Server) runSafeControlled(path string, cfg core.Config, cancel *core.Cancel) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -808,23 +797,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	quick := q.Get("quick") == "1" || q.Get("quick") == "true"
 	var seed uint64 = 1
-	if v := q.Get("seed"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &seed); err != nil {
-			HTTPError(w, http.StatusBadRequest, "bad seed %q", v)
-			return
-		}
-	}
 	var warmup, measure uint64
-	if v := q.Get("warmup_cycles"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &warmup); err != nil {
-			HTTPError(w, http.StatusBadRequest, "bad warmup_cycles %q", v)
-			return
-		}
-	}
-	if v := q.Get("measure_cycles"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &measure); err != nil {
-			HTTPError(w, http.StatusBadRequest, "bad measure_cycles %q", v)
-			return
+	for _, p := range []struct {
+		name string
+		dst  *uint64
+	}{{"seed", &seed}, {"warmup_cycles", &warmup}, {"measure_cycles", &measure}} {
+		// Whole decimal values only: a prefix parse would read 1e9 as 1.
+		if v := q.Get(p.name); v != "" {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				HTTPError(w, http.StatusBadRequest, "bad %s %q", p.name, v)
+				return
+			}
+			*p.dst = n
 		}
 	}
 	cfgFor := func(m core.Mode, d ttcp.Direction, size int) core.Config {

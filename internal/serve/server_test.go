@@ -245,6 +245,29 @@ func TestVerifyEndpoint(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsMalformedQuery pins whole-value parsing of the
+// scorecard's numeric parameters: a prefix parse would run 1e9 as a
+// 1-cycle window, 12abc as 12, and 0x10 as 0, the default.
+func TestVerifyRejectsMalformedQuery(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	for _, q := range []string{
+		"measure_cycles=1e9",
+		"measure_cycles=12abc",
+		"measure_cycles=0x10",
+		"measure_cycles=-1",
+		"measure_cycles=1.5",
+		"warmup_cycles=1e9",
+		"warmup_cycles=%2B5",
+		"seed=7x",
+		"seed=18446744073709551616",
+	} {
+		code, body := get(t, ts.URL+"/v1/verify?"+q)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", q, code, body)
+		}
+	}
+}
+
 func TestHealthzReportsVersionAndCache(t *testing.T) {
 	srv := New(Options{Runner: core.NewRunner(0), Version: "test-build-1"})
 	ts := httptest.NewServer(srv)
