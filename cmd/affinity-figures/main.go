@@ -85,8 +85,7 @@ func main() {
 			c := affinity.DefaultConfig(m, d, size)
 			c.Seed = *seed
 			if *quick {
-				c.WarmupCycles = 30_000_000
-				c.MeasureCycles = 100_000_000
+				c.SetQuickWindows()
 			}
 			return c
 		}
@@ -160,8 +159,7 @@ func (g *generator) base(mode affinity.Mode, dir affinity.Direction, size int) a
 	cfg := affinity.DefaultConfig(mode, dir, size)
 	cfg.Seed = g.seed
 	if g.quick {
-		cfg.WarmupCycles = 30_000_000
-		cfg.MeasureCycles = 100_000_000
+		cfg.SetQuickWindows()
 	}
 	return cfg
 }

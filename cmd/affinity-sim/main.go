@@ -83,6 +83,7 @@ import (
 	"repro/affinity"
 	"repro/internal/buildinfo"
 	"repro/internal/profiling"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -333,6 +334,9 @@ func main() {
 func topology(cpus, nics, queues, conns int) (affinity.Topology, error) {
 	if cpus <= 0 || nics <= 0 || queues <= 0 {
 		return affinity.Topology{}, fmt.Errorf("-cpus %d -nics %d -queues %d: each must be positive", cpus, nics, queues)
+	}
+	if err := topo.CheckNICs(nics); err != nil {
+		return affinity.Topology{}, fmt.Errorf("-nics: %w", err)
 	}
 	t := affinity.Uniform(cpus, nics, queues)
 	t.Conns = conns

@@ -7,12 +7,13 @@ import (
 	"repro/affinity"
 )
 
-// A non-positive CPU, NIC or queue count is a usage error (exit 2), not
-// a crash in the shape builder or a shape that simulates as one thing
-// and hashes as another.
+// A non-positive CPU, NIC or queue count, or more NICs than interrupt
+// vectors, is a usage error (exit 2), not a crash in the shape builder
+// or a shape that simulates as one thing and hashes as another.
 func TestTopologyRejectsNonPositiveCounts(t *testing.T) {
 	for _, c := range []struct{ cpus, nics, queues int }{
 		{0, 8, 1}, {-1, 8, 1}, {2, 0, 8}, {2, -1, 1}, {2, 8, 0}, {2, 8, -2},
+		{2, 1_000_000_000, 1},
 	} {
 		if _, err := topology(c.cpus, c.nics, c.queues, 0); err == nil {
 			t.Errorf("-cpus %d -nics %d -queues %d accepted", c.cpus, c.nics, c.queues)

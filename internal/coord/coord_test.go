@@ -398,6 +398,9 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 		"negative size":    `{"sizes":[-5]}`,
 		"malformed json":   `{`,
 		"impossible shape": `{"cpus":64}`,
+		"file faults":      `{"faults":"@/etc/hostname"}`,
+		"file workload":    `{"workload":"@/nonexistent"}`,
+		"file coalesce":    `{"coalesce":"@/proc/self/environ"}`,
 	} {
 		code, resp := post(t, cts.URL+"/v1/sweep", body)
 		if code != http.StatusBadRequest {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -156,7 +157,7 @@ func TestCellShapesMatchGolden(t *testing.T) {
 		}
 		s := shapes[i]
 		cfg := s.config(t)
-		r := RunControlled(cfg, nil, cellShapeBudget)
+		r := RunControlled(context.Background(), cfg, cellShapeBudget)
 		got := fmt.Sprintf("%d %s %s", i, s.label(), cellDigest(t, r))
 		out = append(out, got)
 		if r.InvariantViolation != "" {

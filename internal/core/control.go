@@ -1,37 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 
 	"repro/internal/sim"
 )
-
-// Cancel is a cooperative stop signal threaded from a serving layer down
-// into the event engine. The engine polls it at ladder-bucket boundaries
-// (see sim.Engine.SetInterrupt), so cancelling a run costs its owner one
-// atomic store and stops the simulation within a handful of events — no
-// goroutine is ever killed, the machine unwinds through its normal
-// teardown. A Cancel is single-shot and must not be reused across runs:
-// once set it stays set. All methods are nil-safe so plumbing that has
-// no cancellation to offer can pass nil straight through.
-type Cancel struct {
-	flag atomic.Bool
-}
-
-// NewCancel returns a fresh, unset cancel signal.
-func NewCancel() *Cancel { return &Cancel{} }
-
-// Cancel requests the run stop at the next engine poll point. It is safe
-// to call from any goroutine, repeatedly.
-func (c *Cancel) Cancel() {
-	if c != nil {
-		c.flag.Store(true)
-	}
-}
-
-// Cancelled reports whether Cancel has been called.
-func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 
 // abort reasons recorded on Result.AbortReason.
 const (
@@ -39,29 +14,29 @@ const (
 	AbortCycleBudget = "cycle budget exceeded"
 )
 
-// RunControlled is Run with a cooperative cancel signal and an optional
-// simulated-cycle budget: the run aborts once cancel is set or the
-// virtual clock would pass maxCycles (0 = uncapped). An aborted run
-// returns immediately with Result.Aborted set and its metrics only
-// partially filled — callers must treat such a Result as a failure
-// signal, never as data, and the cache refuses to store it. With a nil
-// cancel and no budget this is exactly Run: same machine, same schedule,
-// byte-identical Result.
-func RunControlled(cfg Config, cancel *Cancel, maxCycles uint64) *Result {
-	if cancel == nil && maxCycles == 0 {
-		return Run(cfg)
-	}
+// RunControlled is Run under the caller's context and an optional
+// simulated-cycle budget: the run aborts once ctx is done or the virtual
+// clock would pass maxCycles (0 = uncapped). Cancellation is
+// cooperative — ctx flips a flag the engine polls (sim.Engine.
+// SetInterrupt), so no goroutine is killed and the machine unwinds
+// through its normal teardown within a handful of events. An aborted
+// run returns with Result.Aborted set and its metrics only partially
+// filled — callers must treat such a Result as a failure signal, never
+// as data, and the cache refuses to store it. A context that can never
+// be cancelled and no budget arm nothing: that is exactly Run.
+func RunControlled(ctx context.Context, cfg Config, maxCycles uint64) *Result {
 	m := NewMachine(cfg)
 	defer m.Shutdown()
-	deadline := sim.Forever
-	if maxCycles > 0 {
-		deadline = sim.Time(maxCycles)
+	var stop *atomic.Bool
+	if ctx.Done() != nil {
+		stop = new(atomic.Bool)
+		stop.Store(ctx.Err() != nil)
+		unregister := context.AfterFunc(ctx, func() { stop.Store(true) })
+		defer unregister()
 	}
-	var flag *atomic.Bool
-	if cancel != nil {
-		flag = &cancel.flag
+	if stop != nil || maxCycles > 0 {
+		m.Eng.SetInterrupt(stop, sim.Time(maxCycles))
 	}
-	m.Eng.SetInterrupt(flag, deadline)
 
 	var r *Result
 	if m.WL.OpenLoop() {
@@ -71,15 +46,15 @@ func RunControlled(cfg Config, cancel *Cancel, maxCycles uint64) *Result {
 		r = m.Measure(cfg.MeasureCycles)
 	}
 	if m.Eng.Interrupted() {
-		return aborted(r, cancel)
+		return aborted(ctx, r)
 	}
-	// Only a run that completed its windows is worth invariant-checking;
-	// this mirrors Run's faulted-run epilogue. The drain is part of the
-	// run, so the cancel flag and the cycle budget bind it too.
+	// Only a run that completed its windows is worth invariant-checking.
+	// The drain is part of the run, so the context and the cycle budget
+	// bind it too.
 	if !cfg.Faults.Empty() && m.WL.Quiescible() {
 		err := m.CheckInvariants()
 		if errors.Is(err, errDrainInterrupted) {
-			return aborted(r, cancel)
+			return aborted(ctx, r)
 		}
 		r.InvariantsChecked = true
 		if err != nil {
@@ -89,14 +64,13 @@ func RunControlled(cfg Config, cancel *Cancel, maxCycles uint64) *Result {
 	return r
 }
 
-// aborted marks r as cut short by cancel or, failing that, by the cycle
+// aborted marks r as cut short by ctx or, failing that, by the cycle
 // budget.
-func aborted(r *Result, cancel *Cancel) *Result {
+func aborted(ctx context.Context, r *Result) *Result {
 	r.Aborted = true
-	if cancel.Cancelled() {
+	r.AbortReason = AbortCycleBudget
+	if ctx.Err() != nil {
 		r.AbortReason = AbortCancelled
-	} else {
-		r.AbortReason = AbortCycleBudget
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -16,6 +17,13 @@ func controlConfig() Config {
 	return cfg
 }
 
+// cancelled returns a context that is already done.
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
 // TestRunControlledIdentityWithRun: an armed-but-idle control surface
 // must be invisible — same exported bytes as plain Run.
 func TestRunControlledIdentityWithRun(t *testing.T) {
@@ -24,29 +32,29 @@ func TestRunControlledIdentityWithRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(RunControlled(cfg, NewCancel(), 0).Export())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := json.Marshal(RunControlled(ctx, cfg, 0).Export())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
 		t.Fatalf("controlled run diverged from Run:\n%s\nvs\n%s", got, want)
 	}
-	// The nil/0 fast path is literally Run; exercise it for coverage.
-	got3, err := json.Marshal(RunControlled(cfg, nil, 0).Export())
+	// A context that can never be cancelled arms nothing: Run's path.
+	got3, err := json.Marshal(RunControlled(context.Background(), cfg, 0).Export())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got3) != string(want) {
-		t.Fatal("nil-control passthrough diverged from Run")
+		t.Fatal("uncancellable-context run diverged from Run")
 	}
 }
 
-// TestRunControlledCancel: a pre-set cancel aborts the run at its first
-// poll point — the result is a failure signal, not data.
+// TestRunControlledCancel: a context done before the run aborts it at
+// its first poll point — the result is a failure signal, not data.
 func TestRunControlledCancel(t *testing.T) {
-	cancel := NewCancel()
-	cancel.Cancel()
-	res := RunControlled(controlConfig(), cancel, 0)
+	res := RunControlled(cancelled(), controlConfig(), 0)
 	if !res.Aborted {
 		t.Fatal("cancelled run did not set Aborted")
 	}
@@ -58,7 +66,7 @@ func TestRunControlledCancel(t *testing.T) {
 // TestRunControlledCycleBudget: a budget smaller than the warmup window
 // aborts the run with the budget reason.
 func TestRunControlledCycleBudget(t *testing.T) {
-	res := RunControlled(controlConfig(), nil, 1_000_000)
+	res := RunControlled(context.Background(), controlConfig(), 1_000_000)
 	if !res.Aborted {
 		t.Fatal("over-budget run did not set Aborted")
 	}
@@ -72,7 +80,9 @@ func TestRunControlledCycleBudget(t *testing.T) {
 func TestRunControlledBudgetAboveRunIsIdentity(t *testing.T) {
 	cfg := controlConfig()
 	want, _ := json.Marshal(Run(cfg).Export())
-	got, _ := json.Marshal(RunControlled(cfg, NewCancel(), cfg.WarmupCycles+cfg.MeasureCycles+1_000_000_000).Export())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, _ := json.Marshal(RunControlled(ctx, cfg, cfg.WarmupCycles+cfg.MeasureCycles+1_000_000_000).Export())
 	if string(got) != string(want) {
 		t.Fatal("budget-armed run diverged from Run")
 	}
@@ -98,9 +108,7 @@ func TestAbortedResultNotExported(t *testing.T) {
 			t.Fatalf("abort marker %q leaked into ResultExport", k)
 		}
 	}
-	cancel := NewCancel()
-	cancel.Cancel()
-	if _, err := json.Marshal(RunControlled(controlConfig(), cancel, 0).Export()); err == nil {
+	if _, err := json.Marshal(RunControlled(cancelled(), controlConfig(), 0).Export()); err == nil {
 		t.Fatal("an aborted result marshalled cleanly; expected its partial metrics to refuse serialization")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestRunControlledBudgetBindsInvariantDrain(t *testing.T) {
 	}
 
 	done := make(chan *Result, 1)
-	go func() { done <- RunControlled(cfg, nil, 10_000_000) }()
+	go func() { done <- RunControlled(context.Background(), cfg, 10_000_000) }()
 	select {
 	case r := <-done:
 		if !r.Aborted || r.AbortReason != AbortCycleBudget {

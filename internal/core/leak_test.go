@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -42,10 +43,9 @@ func TestRunControlledCancelMidCellLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := controlConfig()
 	cfg.MeasureCycles = 1 << 50
-	cancel := NewCancel()
-	timer := time.AfterFunc(50*time.Millisecond, cancel.Cancel)
-	defer timer.Stop()
-	res := RunControlled(cfg, cancel, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res := RunControlled(ctx, cfg, 0)
 	if !res.Aborted || res.AbortReason != AbortCancelled {
 		t.Fatalf("aborted=%v reason=%q, want a cancelled run", res.Aborted, res.AbortReason)
 	}

@@ -171,6 +171,14 @@ func DefaultConfig(mode Mode, dir ttcp.Direction, size int) Config {
 	}
 }
 
+// SetQuickWindows shrinks the warm-up and measurement windows to the
+// figure generator's -quick setting: 15 ms + 50 ms instead of the
+// default 30 ms + 120 ms.
+func (c *Config) SetQuickWindows() {
+	c.WarmupCycles = 30_000_000
+	c.MeasureCycles = 100_000_000
+}
+
 // PlanFor computes the placement plan a config implies without building
 // the machine — for validating or inspecting placement up front. It is
 // the only shape gate: impossible topologies (no CPUs, more queues than

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/perf"
@@ -133,29 +134,7 @@ const openLoopHorizon = uint64(1) << 61
 // cell runs to completion — the workload halts the engine once every
 // generated connection is terminal — so WarmupCycles and MeasureCycles
 // are ignored and ElapsedCycles is the cell's makespan.
-func Run(cfg Config) *Result {
-	m := NewMachine(cfg)
-	defer m.Shutdown()
-	if m.WL.OpenLoop() {
-		r := m.Measure(openLoopHorizon)
-		if !cfg.Faults.Empty() && m.WL.Quiescible() {
-			r.InvariantsChecked = true
-			if err := m.CheckInvariants(); err != nil {
-				r.InvariantViolation = err.Error()
-			}
-		}
-		return r
-	}
-	m.Eng.Run(sim.Time(cfg.WarmupCycles))
-	r := m.Measure(cfg.MeasureCycles)
-	if !cfg.Faults.Empty() && m.WL.Quiescible() {
-		r.InvariantsChecked = true
-		if err := m.CheckInvariants(); err != nil {
-			r.InvariantViolation = err.Error()
-		}
-	}
-	return r
-}
+func Run(cfg Config) *Result { return RunControlled(context.Background(), cfg, 0) }
 
 // Measure runs the machine for the given window and returns the delta
 // metrics. It may be called repeatedly for multiple windows.

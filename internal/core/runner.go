@@ -48,7 +48,7 @@ type Runner struct {
 	// (RunConfigs, RunSweep, RunSeeds, VerifyShapeWith). Because each
 	// cell is a pure function of its Config, substituting a memoizing
 	// RunFunc changes wall-clock time only, never results.
-	run atomic.Pointer[RunFunc]
+	run RunFunc
 }
 
 // NewRunner returns a runner with the given worker bound. workers <= 0
@@ -72,35 +72,23 @@ func (r *Runner) Workers() int {
 	return r.workers
 }
 
-// Use installs run as this runner's cell executor (nil restores Run).
-// The replacement must be result-transparent — return exactly what Run
-// would for the same Config — which any Fingerprint-keyed cache of
-// deterministic runs is. Returns the runner for chaining.
+// Use installs run as this runner's cell executor (nil restores Run),
+// before the runner executes any cell. The replacement must be
+// result-transparent — return exactly what Run would for the same
+// Config — which any Fingerprint-keyed cache of deterministic runs is.
+// Returns the runner for chaining.
 func (r *Runner) Use(run RunFunc) *Runner {
-	if run == nil {
-		r.run.Store(nil)
-	} else {
-		r.run.Store(&run)
-	}
+	r.run = run
 	return r
 }
 
 // runFunc resolves the cell executor: the installed RunFunc, or Run.
 func (r *Runner) runFunc() RunFunc {
-	if r == nil {
+	if r == nil || r.run == nil {
 		return Run
 	}
-	if f := r.run.Load(); f != nil {
-		return *f
-	}
-	return Run
+	return r.run
 }
-
-// UseDefault installs run on the default runner backing the package-level
-// RunAll/RunSweep/RunSeeds/VerifyShape helpers (nil restores Run). This
-// is how a process-wide result cache makes every facade entry point
-// incremental.
-func UseDefault(run RunFunc) { defaultRunner.Use(run) }
 
 // Do executes job(i) for every i in [0, n), each exactly once, and
 // returns when all have completed. With more than one worker, jobs are

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -127,5 +129,81 @@ func TestMaxSimCyclesAborts(t *testing.T) {
 	}
 	if got := srv.Cache().Stats().Aborts; got != 1 {
 		t.Errorf("cache refused %d aborted results, want 1", got)
+	}
+}
+
+// verifyQuery is a scorecard over tiny windows.
+var verifyQuery = fmt.Sprintf("/v1/verify?warmup_cycles=%d&measure_cycles=%d", tinyWarmup, tinyMeasure)
+
+// TestVerifyHonoursMaxSimCycles: the scorecard's cells run under the
+// same cycle cap as /v1/run, and an aborted cell fails the request
+// instead of scoring its partial metrics.
+func TestVerifyHonoursMaxSimCycles(t *testing.T) {
+	srv := New(Options{Runner: core.NewRunner(1), MaxSimCycles: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, body := get(t, ts.URL+verifyQuery)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, core.AbortCycleBudget) {
+		t.Fatalf("over-cycle-cap verify: status %d body %q, want 503 %q", code, body, core.AbortCycleBudget)
+	}
+	if got := srv.budgetAborts.Load(); got == 0 {
+		t.Error("budget aborts stuck at zero")
+	}
+	if got := srv.Cache().Stats().Entries; got != 0 {
+		t.Errorf("%d aborted verify cells entered the cache", got)
+	}
+}
+
+// TestVerifyTimeoutCancelsCells: a scorecard whose request times out
+// cancels the cell it is simulating, which frees its limiter slot.
+func TestVerifyTimeoutCancelsCells(t *testing.T) {
+	srv := New(Options{
+		Runner:      core.NewRunner(1),
+		MaxInflight: 1,
+		Timeout:     2 * time.Second,
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	code, body := get(t, ts.URL+"/v1/verify?warmup_cycles=2000000000&measure_cycles=8000000000")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "cancelled") {
+		t.Fatalf("timed-out verify: status %d body %q, want 503 mentioning cancellation", code, body)
+	}
+	waitUntil(t, "cancelled verify cell to abort and free its slot", func() bool {
+		return srv.simsCancelled.Load() >= 1 && len(srv.sem) == 0
+	})
+	if got := srv.Cache().Stats().Entries; got != 0 {
+		t.Errorf("%d cancelled verify cells entered the cache", got)
+	}
+}
+
+// TestVerifyPanicIs500: a panic on the verify path — in a cell, or in
+// scoring a result that lacks its counters — is one failed request, as
+// under /v1/run: a 500 and a tick of affinity_panics_total, and the
+// server keeps serving.
+func TestVerifyPanicIs500(t *testing.T) {
+	for name, stub := range map[string]func(context.Context, core.Config) *core.Result{
+		"cell":    func(context.Context, core.Config) *core.Result { panic("injected verify panic") },
+		"scoring": func(context.Context, core.Config) *core.Result { return &core.Result{} },
+	} {
+		ts := newTestServer(t, Options{Runner: core.NewRunner(1), Run: stub})
+		code, body := get(t, ts.URL+verifyQuery)
+		if code != http.StatusInternalServerError || !strings.Contains(body, "panicked") {
+			t.Errorf("%s: panicking verify: status %d body %q, want 500 naming the panic", name, code, body)
+			continue
+		}
+		if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+			t.Errorf("%s: /healthz after a verify panic: status %d", name, code)
+		}
+		_, metricsBody := get(t, ts.URL+"/metrics")
+		for _, want := range []string{
+			`affinity_panics_total{path="/v1/verify"} 1`,
+			`affinity_requests_total{path="/v1/verify",code="500"} 1`,
+		} {
+			if !strings.Contains(metricsBody, want) {
+				t.Errorf("%s: metrics missing %q", name, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -13,7 +14,8 @@ import (
 // resolution: strict JSON decoding as the handlers do it, then
 // RunRequest.Config. Resolving must never panic; an accepted config
 // must place (PlanFor) and carry a fault schedule valid for its shape
-// and windows; and one body must always resolve to one cache key.
+// and windows; one body must always resolve to one cache key; and no
+// "@file" spec may be accepted, since a parser would open the file.
 func FuzzRunRequestConfig(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -28,12 +30,15 @@ func FuzzRunRequestConfig(f *testing.F) {
 		// Shapes that once crashed the shape builder or mis-keyed.
 		`{"nics":-1}`,
 		`{"queues":-2}`,
+		// Operator-only file specs.
+		`{"faults":"@/etc/hostname","coalesce":" @x.json"}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var rq RunRequest
 		resolve := func() (core.Config, error) {
-			var rq RunRequest
+			rq = RunRequest{}
 			dec := json.NewDecoder(bytes.NewReader(body))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&rq); err != nil {
@@ -44,6 +49,11 @@ func FuzzRunRequestConfig(f *testing.F) {
 		cfg, err := resolve()
 		if err != nil {
 			return
+		}
+		for _, spec := range []string{rq.Faults, rq.Workload, rq.Coalesce} {
+			if strings.HasPrefix(strings.TrimSpace(spec), "@") {
+				t.Fatalf("accepted %s, whose spec %q names a file", body, spec)
+			}
 		}
 		if _, err := core.PlanFor(cfg); err != nil {
 			t.Fatalf("accepted %s, but PlanFor fails: %v", body, err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -58,7 +59,7 @@ func maskExposition(t *testing.T, body string) string {
 // request script (a run, a sweep, a 400 and a recovered panic): every
 // HELP/TYPE line and every sample's name and labels, in order.
 func TestMetricsGolden(t *testing.T) {
-	stub := func(cfg core.Config) *core.Result {
+	stub := func(_ context.Context, cfg core.Config) *core.Result {
 		if cfg.Seed == 99 {
 			panic("injected test panic")
 		}

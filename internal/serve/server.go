@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -46,9 +47,10 @@ type Options struct {
 	// cache (set AFFINITY_CACHE_DIR handling up in the caller and pass
 	// the cache in to persist across restarts).
 	Cache *cache.Cache
-	// Run executes one cell beneath the cache; nil selects core.Run.
-	// Tests substitute stubs here.
-	Run core.RunFunc
+	// Run executes one cell beneath the cache, stopping early once ctx
+	// is done; nil selects core.RunControlled under MaxSimCycles. Tests
+	// substitute stubs here.
+	Run func(ctx context.Context, cfg core.Config) *core.Result
 	// MaxInflight bounds requests doing simulation work concurrently;
 	// further requests wait, and time out with 503 if no slot frees
 	// within the request timeout. 0 selects 2× the runner's workers.
@@ -58,15 +60,16 @@ type Options struct {
 	// Version reported by /healthz and /metrics; "" resolves from build
 	// info.
 	Version string
-	// DefaultWorkload is a workload spec (core.ParseWorkload syntax)
-	// applied to requests that leave "workload" empty; "" keeps the
-	// bulk default. Malformed values surface on the first request as a
-	// 400, same as a client-sent spec.
+	// DefaultWorkload is a workload spec (core.ParseWorkload syntax,
+	// including the operator-only "@file.json" form) applied to
+	// requests that leave "workload" empty; "" keeps the bulk default.
+	// Malformed values surface on the first request as a 400, same as
+	// a client-sent spec.
 	DefaultWorkload string
-	// DefaultCoalesce is a coalescing spec (core.ParseCoalesce syntax)
-	// applied to requests that leave "coalesce" empty; "" keeps the
-	// legacy throttle. Malformed values surface as 400s, like
-	// DefaultWorkload.
+	// DefaultCoalesce is a coalescing spec (core.ParseCoalesce syntax,
+	// "@file.json" included) applied to requests that leave "coalesce"
+	// empty; "" keeps the legacy throttle. Malformed values surface as
+	// 400s, like DefaultWorkload.
 	DefaultCoalesce string
 	// SimBudget is the wall-clock watchdog per simulation: a cell still
 	// running after this long is cooperatively cancelled and reported
@@ -80,24 +83,20 @@ type Options struct {
 
 // Server is the HTTP face of the simulator.
 type Server struct {
-	runner  *core.Runner
-	cache   *cache.Cache
-	run     core.RunFunc // cache-wrapped cell executor
-	sem     chan struct{}
-	timeout time.Duration
-	version string
-	// defaultWorkload/defaultCoalesce fill RunRequest.Workload and
-	// RunRequest.Coalesce when a request leaves them empty.
+	runner *core.Runner
+	cache  *cache.Cache
+	// simulate executes one cell beneath the cache (Options.Run).
+	simulate func(context.Context, core.Config) *core.Result
+	sem      chan struct{}
+	timeout  time.Duration
+	version  string
+	// defaultWorkload/defaultCoalesce are the operator's specs for
+	// requests that leave workload or coalesce empty (withDefaults).
 	defaultWorkload string
 	defaultCoalesce string
 	metrics         *workerMetrics
 	engines         engineAgg
-	// runCtl executes one cell under a cooperative cancel signal; the
-	// default threads the signal into core.RunControlled, a substituted
-	// Options.Run stub runs uncontrolled.
-	runCtl       func(core.Config, *core.Cancel) *core.Result
-	simBudget    time.Duration
-	maxSimCycles uint64
+	simBudget       time.Duration
 	// waiting counts requests blocked on a limiter slot — the queue
 	// depth a coordinator's load-aware planner weighs against.
 	waiting atomic.Int64
@@ -172,10 +171,12 @@ func New(opts Options) *Server {
 	s := &Server{
 		runner:          opts.Runner,
 		cache:           opts.Cache,
+		simulate:        opts.Run,
 		timeout:         opts.Timeout,
 		version:         opts.Version,
 		defaultWorkload: opts.DefaultWorkload,
 		defaultCoalesce: opts.DefaultCoalesce,
+		simBudget:       opts.SimBudget,
 		mux:             http.NewServeMux(),
 	}
 	if s.runner == nil {
@@ -184,26 +185,12 @@ func New(opts Options) *Server {
 	if s.cache == nil {
 		s.cache = cache.New(cache.DefaultMaxBytes, "")
 	}
-	s.simBudget = opts.SimBudget
-	s.maxSimCycles = opts.MaxSimCycles
-	inner := opts.Run
-	if inner == nil {
-		inner = core.Run
-		s.runCtl = func(cfg core.Config, cancel *core.Cancel) *core.Result {
-			return core.RunControlled(cfg, cancel, s.maxSimCycles)
+	if s.simulate == nil {
+		maxSimCycles := opts.MaxSimCycles
+		s.simulate = func(ctx context.Context, cfg core.Config) *core.Result {
+			return core.RunControlled(ctx, cfg, maxSimCycles)
 		}
-	} else {
-		// A substituted stub knows nothing of cancellation; run it as-is.
-		s.runCtl = func(cfg core.Config, _ *core.Cancel) *core.Result { return inner(cfg) }
 	}
-	s.run = func(cfg core.Config) *core.Result {
-		res := s.cache.GetOrRun(cfg, inner)
-		if res != nil {
-			s.engines.add(res.Engine)
-		}
-		return res
-	}
-	s.runner.Use(s.run)
 	if s.timeout <= 0 {
 		s.timeout = 5 * time.Minute
 	}
@@ -348,56 +335,59 @@ func BadRequest(w http.ResponseWriter, err error) {
 	})
 }
 
-// runCell executes one cell under the server's cancellation umbrella:
-// the request context, the wall-clock sim budget, and the cycle cap all
-// funnel into one cooperative cancel the engine polls at ladder-bucket
-// boundaries. A cell that aborts frees its limiter slot within a few
-// events instead of simulating into a closed connection — this is the
-// fix for the old "sims are not cancelled" leak. Aborted results are
-// counted here (cancellations vs budget aborts) and returned for the
-// caller to translate into its failure shape.
-func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (*core.Result, error) {
-	cancel := core.NewCancel()
+// runCell is how every handler executes a cell: through the cache,
+// under the request context narrowed by the wall-clock sim budget, with
+// the cycle cap applied beneath (Options.Run). The engine polls the
+// context at ladder-bucket boundaries, so a cell that aborts frees its
+// limiter slot within a few events instead of simulating into a closed
+// connection. Aborted results are counted here (cancellations vs budget
+// aborts) and returned for the caller to translate into its failure
+// shape; a simulator panic becomes an error and a tick of
+// affinity_panics_total instead of a dead worker goroutine.
+func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (o cellResult) {
+	simCtx := ctx
 	if s.simBudget > 0 {
-		t := time.AfterFunc(s.simBudget, cancel.Cancel)
-		defer t.Stop()
+		var cancel context.CancelFunc
+		simCtx, cancel = context.WithTimeout(ctx, s.simBudget)
+		defer cancel()
 	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancel.Cancel()
-		case <-watchDone:
-		}
-	}()
-	res, err := s.runSafeControlled(path, cfg, cancel)
-	if res != nil && res.Aborted {
-		if ctx.Err() != nil && res.AbortReason == core.AbortCancelled {
-			s.simsCancelled.Add(1)
-		} else {
-			s.budgetAborts.Add(1)
-		}
-	}
-	return res, err
-}
-
-// runSafeControlled executes one cell through the cache with a live
-// cancel signal threaded to the run beneath it, converting a simulator
-// panic into an error (and a tick of affinity_panics_total) instead of
-// a dead worker goroutine.
-func (s *Server) runSafeControlled(path string, cfg core.Config, cancel *core.Cancel) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.metrics.panics.Inc(path)
-			res, err = nil, fmt.Errorf("simulation panicked: %v", v)
+			o = cellResult{err: fmt.Errorf("simulation panicked: %v", v)}
 		}
 	}()
-	res = s.cache.GetOrRun(cfg, func(c core.Config) *core.Result { return s.runCtl(c, cancel) })
-	if res != nil && !res.Aborted {
+	res := s.cache.GetOrRun(cfg, func(c core.Config) *core.Result { return s.simulate(simCtx, c) })
+	switch {
+	case res == nil:
+	case !res.Aborted:
 		s.engines.add(res.Engine)
+	case ctx.Err() != nil && res.AbortReason == core.AbortCancelled:
+		s.simsCancelled.Add(1)
+	default:
+		s.budgetAborts.Add(1)
 	}
-	return res, nil
+	return cellResult{res: res}
+}
+
+// cellResult is one cell's outcome: a result (which may be aborted) or
+// the error of a simulator panic.
+type cellResult struct {
+	res *core.Result
+	err error
+}
+
+// ok reports whether the cell completed.
+func (o cellResult) ok() bool { return o.err == nil && o.res != nil && !o.res.Aborted }
+
+// answerFailure answers a cell that did not complete: 500 for a panic,
+// 503 for an abort.
+func (o cellResult) answerFailure(w http.ResponseWriter) {
+	if o.err != nil {
+		HTTPError(w, http.StatusInternalServerError, "%v", o.err)
+		return
+	}
+	HTTPError(w, http.StatusServiceUnavailable, "simulation aborted: %s", abortReason(o.res))
 }
 
 // RunRequest is the JSON body of POST /v1/run and the base of /v1/sweep.
@@ -448,6 +438,16 @@ type RunRequest struct {
 // this build fingerprints a cell exactly as the worker that simulates
 // it will.
 func (rq RunRequest) Config() (core.Config, error) {
+	// A leading "@" makes the spec parsers read a file on this host:
+	// operator-only (flags), so a request body's is refused before any
+	// parser runs.
+	for _, f := range []struct{ name, spec string }{
+		{"faults", rq.Faults}, {"workload", rq.Workload}, {"coalesce", rq.Coalesce},
+	} {
+		if strings.HasPrefix(strings.TrimSpace(f.spec), "@") {
+			return core.Config{}, fieldErrf(f.name, "@file specs are not accepted in requests")
+		}
+	}
 	mode := core.ModeNone
 	if rq.Mode != "" {
 		m, err := core.ParseMode(rq.Mode)
@@ -476,8 +476,7 @@ func (rq RunRequest) Config() (core.Config, error) {
 		cfg.Seed = rq.Seed
 	}
 	if rq.Quick {
-		cfg.WarmupCycles = 30_000_000
-		cfg.MeasureCycles = 100_000_000
+		cfg.SetQuickWindows()
 	}
 	if rq.WarmupCycles != 0 {
 		cfg.WarmupCycles = rq.WarmupCycles
@@ -493,10 +492,8 @@ func (rq RunRequest) Config() (core.Config, error) {
 			return core.Config{}, fieldErrf(f.name, "must be positive, got %d", f.v)
 		}
 	}
-	// Each NIC needs an interrupt vector: refuse before building a shape
-	// entry per requested NIC.
-	if limit := topo.NumAllocatableVectors(); rq.NICs > limit {
-		return core.Config{}, fieldErrf("nics", "%d NICs exceed the %d allocatable interrupt vectors", rq.NICs, limit)
+	if err := topo.CheckNICs(rq.NICs); err != nil {
+		return core.Config{}, &fieldError{field: "nics", err: err}
 	}
 	cfg.Topology = topo.Uniform(cmp.Or(rq.CPUs, 2), cmp.Or(rq.NICs, 8), cmp.Or(rq.Queues, 1))
 	cfg.Topology.Conns = rq.Conns
@@ -561,13 +558,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !Decode(w, r, &rq) {
 		return
 	}
-	if rq.Workload == "" {
-		rq.Workload = s.defaultWorkload
-	}
-	if rq.Coalesce == "" {
-		rq.Coalesce = s.defaultCoalesce
-	}
 	cfg, err := rq.Config()
+	if err == nil {
+		err = s.withDefaults(rq, &cfg)
+	}
 	if err != nil {
 		BadRequest(w, err)
 		return
@@ -576,24 +570,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if release == nil {
 		return
 	}
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan cellResult, 1)
 	go func() {
 		defer release()
-		res, err := s.runCell(r.Context(), "/v1/run", cfg)
-		done <- outcome{res, err}
+		done <- s.runCell(r.Context(), "/v1/run", cfg)
 	}()
 	select {
 	case o := <-done:
-		if o.err != nil {
-			HTTPError(w, http.StatusInternalServerError, "%v", o.err)
-			return
-		}
-		if o.res == nil || o.res.Aborted {
-			HTTPError(w, http.StatusServiceUnavailable, "simulation aborted: %s", abortReason(o.res))
+		if !o.ok() {
+			o.answerFailure(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -604,9 +589,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintln(w, out)
 	case <-r.Context().Done():
-		// The watcher inside runCell has already tripped the cancel: the
-		// simulation aborts at its next engine poll and frees its slot —
-		// nothing keeps burning cycles behind this 503.
+		// The same context bounds the simulation: it aborts at its next
+		// engine poll and frees its slot — nothing keeps burning cycles
+		// behind this 503.
 		HTTPError(w, http.StatusServiceUnavailable, "request timed out; simulation cancelled")
 	}
 }
@@ -616,6 +601,24 @@ func abortReason(res *core.Result) string {
 		return "aborted"
 	}
 	return res.AbortReason
+}
+
+// withDefaults fills the operator's default workload and coalescing
+// specs into cfg where its request left them empty. They resolve here,
+// outside RunRequest.Config, because an operator's spec may name a file
+// (-workload @spec.json), which a request's may not.
+func (s *Server) withDefaults(rq RunRequest, cfg *core.Config) (err error) {
+	if rq.Workload == "" && s.defaultWorkload != "" {
+		if cfg.Workload, err = core.ParseWorkload(s.defaultWorkload); err != nil {
+			return &fieldError{field: "workload", err: err}
+		}
+	}
+	if rq.Coalesce == "" && s.defaultCoalesce != "" {
+		if cfg.Coalesce, err = core.ParseCoalesce(s.defaultCoalesce); err != nil {
+			return &fieldError{field: "coalesce", err: err}
+		}
+	}
+	return nil
 }
 
 // SweepRequest is the JSON body of POST /v1/sweep: a base cell plus the
@@ -708,13 +711,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !Decode(w, r, &rq) {
 		return
 	}
-	if rq.Workload == "" {
-		rq.Workload = s.defaultWorkload
-	}
-	if rq.Coalesce == "" {
-		rq.Coalesce = s.defaultCoalesce
-	}
 	cells, err := rq.Expand()
+	for i := 0; err == nil && i < len(cells); i++ {
+		err = s.withDefaults(rq.RunRequest, &cells[i].Cfg)
+	}
 	if err != nil {
 		BadRequest(w, err)
 		return
@@ -741,8 +741,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// coordinator retries and hedges abandon streams routinely,
 			// and simulating the remainder into a closed connection
 			// would burn the whole pool. Cells already simulating are
-			// cooperatively cancelled through runCell's context watcher,
-			// so abandonment frees the pool within a few events.
+			// cooperatively cancelled through the same context, so
+			// abandonment frees the pool within a few events.
 			if ctx.Err() != nil {
 				s.sweepCancelled.Add(1)
 				close(ready[i])
@@ -751,9 +751,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// A panicking or aborted cell leaves a nil slot; the stream
 			// ends there rather than skipping it, so truncation signals
 			// the failure.
-			res, _ := s.runCell(ctx, "/v1/sweep", cells[i].Cfg)
-			if res != nil && !res.Aborted {
-				out[i] = res
+			if o := s.runCell(ctx, "/v1/sweep", cells[i].Cfg); o.ok() {
+				out[i] = o.res
 			}
 			close(ready[i])
 		})
@@ -767,8 +766,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		case <-ready[i]:
 		case <-ctx.Done():
 			// Client gone or timed out: stop streaming. In-flight cells
-			// finish in the background and populate the cache;
-			// undispatched cells are cancelled above.
+			// abort at their next engine poll; undispatched cells are
+			// cancelled above.
 			return
 		}
 		if out[i] == nil {
@@ -792,7 +791,9 @@ type VerifyResponse struct {
 
 // handleVerify runs the 17-claim reproduction scorecard. Query
 // parameters: quick=1 shrinks windows, seed=N reseeds. With the cache
-// warm this is nearly free.
+// warm this is nearly free. Its cells run through runCell like any
+// other request's, under the same limits; a cell that panics or aborts
+// fails the whole request rather than scoring partial results.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	quick := q.Get("quick") == "1" || q.Get("quick") == "true"
@@ -816,8 +817,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		cfg := core.DefaultConfig(m, d, size)
 		cfg.Seed = seed
 		if quick {
-			cfg.WarmupCycles = 30_000_000
-			cfg.MeasureCycles = 100_000_000
+			cfg.SetQuickWindows()
 		}
 		if warmup != 0 {
 			cfg.WarmupCycles = warmup
@@ -831,13 +831,42 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if release == nil {
 		return
 	}
-	done := make(chan []core.Check, 1)
+	// A failed cell unwinds the scoring pass as a panic carrying its
+	// cellResult; checks stays nil and fail says why.
+	type verdict struct {
+		checks []core.Check
+		fail   cellResult
+	}
+	done := make(chan verdict, 1)
 	go func() {
 		defer release()
-		done <- core.VerifyShapeWith(s.runner, cfgFor)
+		var v verdict
+		defer func() {
+			if p := recover(); p != nil {
+				var ok bool
+				if v.fail, ok = p.(cellResult); !ok {
+					s.metrics.panics.Inc("/v1/verify")
+					v.fail.err = fmt.Errorf("verify panicked: %v", p)
+				}
+			}
+			done <- v
+		}()
+		runner := core.NewRunner(s.runner.Workers()).Use(func(cfg core.Config) *core.Result {
+			o := s.runCell(r.Context(), "/v1/verify", cfg)
+			if !o.ok() {
+				panic(o)
+			}
+			return o.res
+		})
+		v.checks = core.VerifyShapeWith(runner, cfgFor)
 	}()
 	select {
-	case checks := <-done:
+	case v := <-done:
+		if v.checks == nil {
+			v.fail.answerFailure(w)
+			return
+		}
+		checks := v.checks
 		if q.Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprint(w, core.FormatChecks(checks))
@@ -854,7 +883,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		enc.SetIndent("", "  ")
 		enc.Encode(resp)
 	case <-r.Context().Done():
-		HTTPError(w, http.StatusServiceUnavailable, "request timed out; results will be cached for retry")
+		HTTPError(w, http.StatusServiceUnavailable, "request timed out; verification cancelled")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -318,7 +320,7 @@ func TestLimiterSheds(t *testing.T) {
 	cfgA.WarmupCycles, cfgA.MeasureCycles = tinyWarmup, tinyMeasure
 	canned := core.Run(cfgA)
 	block := make(chan struct{})
-	stub := func(core.Config) *core.Result { <-block; return canned }
+	stub := func(context.Context, core.Config) *core.Result { <-block; return canned }
 	defer close(block)
 
 	srv := New(Options{
@@ -374,6 +376,11 @@ func TestFieldLevel400s(t *testing.T) {
 		"negative nics":     {`{"nics":-1}`, "nics"},
 		"negative queues":   {`{"queues":-2}`, "queues"},
 		"too many nics":     {`{"nics":1000000000}`, "nics"},
+		// "@file" specs are operator-only: refused before any parser
+		// could open the file.
+		"file faults":   {`{"faults":"@/etc/hostname"}`, "faults"},
+		"file workload": {`{"workload":"@/nonexistent"}`, "workload"},
+		"file coalesce": {`{"coalesce":"@/proc/self/environ"}`, "coalesce"},
 	} {
 		code, resp := post(t, ts.URL+"/v1/run", tc.body)
 		if code != http.StatusBadRequest {
@@ -393,6 +400,9 @@ func TestFieldLevel400s(t *testing.T) {
 		}
 		if body.Error == "" {
 			t.Errorf("%s: empty error message", name)
+		}
+		if strings.HasPrefix(name, "file ") && body.Error != tc.field+": @file specs are not accepted in requests" {
+			t.Errorf("%s: error %q, want the @file refusal", name, body.Error)
 		}
 	}
 }
@@ -437,7 +447,7 @@ func TestRunWithFaults(t *testing.T) {
 // becomes a 500 with a JSON error and a tick of affinity_panics_total;
 // the server keeps serving afterwards.
 func TestPanicRecovery(t *testing.T) {
-	stub := func(cfg core.Config) *core.Result {
+	stub := func(_ context.Context, cfg core.Config) *core.Result {
 		if cfg.Seed == 99 {
 			panic("injected test panic")
 		}
@@ -538,5 +548,32 @@ func TestAbandonedSweepCancelsUndispatchedCells(t *testing.T) {
 	}
 	if strings.Contains(metricsBody, "affinity_sweep_cells_cancelled_total 0\n") {
 		t.Error("cancelled-cell counter stuck at zero in /metrics")
+	}
+}
+
+// TestOperatorFileDefaults: the operator's -workload/-coalesce defaults
+// may name files even though a request body may not, and a cell run
+// under them is the cell a request spelling the same specs inline gets.
+func TestOperatorFileDefaults(t *testing.T) {
+	dir := t.TempDir()
+	wl, co := filepath.Join(dir, "workload.json"), filepath.Join(dir, "coalesce.json")
+	if err := os.WriteFile(wl, []byte(`{"kind":"rpc","mix":"web"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(co, []byte(`{"mode":"timer","usecs":100}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := newTestServer(t, Options{DefaultWorkload: "@" + wl, DefaultCoalesce: "@" + co})
+	inline := newTestServer(t, Options{})
+
+	for _, path := range []string{"/v1/run", "/v1/sweep"} {
+		code, got := post(t, files.URL+path, tinyBody(""))
+		if code != http.StatusOK {
+			t.Fatalf("%s under file defaults: status %d (%s)", path, code, got)
+		}
+		_, want := post(t, inline.URL+path, tinyBody(`,"workload":"rpc,mix=web","coalesce":"timer,usecs=100"`))
+		if got != want {
+			t.Errorf("%s: file defaults gave\n%s\nthe inline specs gave\n%s", path, got, want)
+		}
 	}
 }

@@ -66,6 +66,16 @@ func Uniform(cpus, nics, queues int) Topology {
 // Paper returns the paper's SUT shape: 2 processors × 8 single-queue NICs.
 func Paper() Topology { return Uniform(2, 8, 1) }
 
+// CheckNICs refuses a NIC count no machine can route, before a caller
+// allocates a shape per NIC (Uniform): each NIC needs at least one
+// interrupt vector.
+func CheckNICs(nics int) error {
+	if limit := NumAllocatableVectors(); nics > limit {
+		return fmt.Errorf("%d NICs exceed the %d allocatable interrupt vectors", nics, limit)
+	}
+	return nil
+}
+
 // maxConns bounds the connection population, and with it the plan's
 // per-connection tables, far above any shape the experiments use.
 const maxConns = 1 << 20

@@ -13,8 +13,11 @@
 #  3. Determinism: the pathology run repeated must print byte-identical
 #     output, reordering counters included.
 #
-#  4. Validation: a malformed -coalesce spec must be rejected with
-#     exit code 2 before any simulation runs.
+#  4. Validation: a malformed -coalesce spec and a NIC count beyond the
+#     interrupt vectors must each be rejected as a usage error (exit 2)
+#     before any simulation runs — the NIC count under a 4 GB
+#     address-space limit, so a shape builder that allocates first
+#     fails fast instead of swapping.
 #
 # CI runs this; it is also handy locally:
 #
@@ -75,4 +78,17 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "reorder_smoke: OK (flow-director reorders, RSS clean, adaptive cures, deterministic, bad spec rejected)"
+echo "== NIC count beyond the interrupt vectors rejected with exit 2 =="
+set +e
+(ulimit -v 4000000; "$TMP/affinity-sim" -nics 1000000000 -plan) > "$TMP/nics.txt" 2>&1
+rc=$?
+set -e
+# The Go runtime's own "fatal error: out of memory" also exits 2, so the
+# refusal must be the usage error naming the vectors.
+if [ "$rc" -ne 2 ] || ! grep -q "allocatable interrupt vectors" "$TMP/nics.txt"; then
+    echo "reorder_smoke: -nics 1000000000 -plan exited $rc, want 2 with a usage error:" >&2
+    cat "$TMP/nics.txt" >&2
+    exit 1
+fi
+
+echo "reorder_smoke: OK (flow-director reorders, RSS clean, adaptive cures, deterministic, bad spec and NIC count rejected)"
