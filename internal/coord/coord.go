@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -345,31 +346,52 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Every cell dispatches concurrently (backpressure comes from the
-	// fleet's slot plan, not from goroutine count); the stream emits in
-	// input order as prefixes complete — the same overlap-compute-with-
-	// delivery shape as the worker's own sweep handler.
+	// A resident cell is answered here, from the store, with its key
+	// computed once. Every other cell dispatches concurrently, handed its
+	// key (backpressure comes from the fleet's slot plan, not from
+	// goroutine count); the stream emits in input order as prefixes
+	// complete — the same overlap-compute-with-delivery shape as the
+	// worker's own sweep handler.
 	ctx := r.Context()
 	lines := make([][]byte, len(cells))
 	errs := make([]error, len(cells))
-	ready := make([]chan struct{}, len(cells))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
+	ready := make([]chan struct{}, len(cells)) // nil: lines[i] is resident
 	for i := range cells {
+		key := cellKey(cells[i].Cfg)
+		if key != "" {
+			if line, from, ok := c.store.get(key); ok {
+				c.countHit(from)
+				lines[i] = line
+				continue
+			}
+		}
+		ready[i] = make(chan struct{})
 		go func(i int) {
 			defer close(ready[i])
-			lines[i], errs[i] = c.cell(ctx, cells[i])
+			lines[i], errs[i] = c.cell(ctx, cells[i], key)
 		}(i)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
+	unflushed := false
 	for i := range cells {
-		select {
-		case <-ready[i]:
-		case <-ctx.Done():
-			return
+		if ready[i] != nil {
+			select {
+			case <-ready[i]:
+			default:
+				// About to wait: push the lines so far to the client first,
+				// so a cold sweep streams while a warm one is one write.
+				if unflushed && flusher != nil {
+					flusher.Flush()
+					unflushed = false
+				}
+				select {
+				case <-ready[i]:
+				case <-ctx.Done():
+					return
+				}
+			}
 		}
 		if errs[i] != nil {
 			// Truncate, like a worker does for a failed cell: the short
@@ -384,9 +406,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if _, err := io.WriteString(w, "\n"); err != nil {
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		unflushed = true
 	}
 }
 
@@ -414,7 +434,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		serve.HTTPError(w, http.StatusInternalServerError, "single-cell expansion failed: %v", err)
 		return
 	}
-	line, err := c.cell(r.Context(), cells[0])
+	line, err := c.cell(r.Context(), cells[0], cellKey(cells[0].Cfg))
 	if err != nil {
 		serve.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -521,21 +541,37 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(c.health())
 }
 
-// cell produces the raw NDJSON line for one cell through the store: a
-// resident line (replayed from the journal, or completed earlier in this
-// process), a shared in-flight dispatch, or a dispatch of its own.
-func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell) ([]byte, error) {
-	if !cache.Cacheable(cell.Cfg) {
+// cellKey is a cell's store key: its cache.Fingerprint, or "" for a
+// cell whose result carries per-run artifacts and must always dispatch.
+func cellKey(cfg core.Config) string {
+	if !cache.Cacheable(cfg) {
+		return ""
+	}
+	return cache.Fingerprint(cfg)
+}
+
+// cell produces the raw NDJSON line for one cell under its cellKey
+// through the store: a resident line (replayed from the journal, or
+// completed earlier in this process), a shared in-flight dispatch, or a
+// dispatch of its own. A cell with no key always dispatches.
+func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell, key string) ([]byte, error) {
+	if key == "" {
 		return c.dispatchCell(ctx, cell)
 	}
-	line, from, err := c.store.getOrDo(ctx, cache.Fingerprint(cell.Cfg), func() ([]byte, error) {
+	line, from, err := c.store.getOrDo(ctx, key, func() ([]byte, error) {
 		return c.dispatchCell(ctx, cell)
 	})
+	c.countHit(from)
+	return line, err
+}
+
+// countHit counts a cell the store answered without this caller
+// dispatching it.
+func (c *Coordinator) countHit(from origin) {
 	switch from {
 	case resumed:
 		c.metrics.resumeHits.Add(1)
 	case deduped:
 		c.metrics.deduped.Add(1)
 	}
-	return line, err
 }

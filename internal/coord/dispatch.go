@@ -184,11 +184,7 @@ func (c *Coordinator) post(ctx context.Context, l *lease, cell serve.SweepCell) 
 		}
 	}()
 
-	body, err := json.Marshal(serve.SweepRequest{
-		RunRequest: cell.Req,
-		Sizes:      []int{cell.Req.Size},
-		Modes:      []string{cell.Req.Mode},
-	})
+	body, err := json.Marshal(forward(cell))
 	if err != nil {
 		return nil, fmt.Errorf("encoding cell: %w", err)
 	}
@@ -219,4 +215,15 @@ func (c *Coordinator) post(ctx context.Context, l *lease, cell serve.SweepCell) 
 		return nil, fmt.Errorf("worker %s: expected one cell line, got several", l.url)
 	}
 	return line, nil
+}
+
+// forward is the single-cell sweep a worker is asked to run for cell.
+// It expands, on the worker, to exactly cell: FuzzSweepExpand holds its
+// one cell to the key the coordinator stores the answer under.
+func forward(cell serve.SweepCell) serve.SweepRequest {
+	return serve.SweepRequest{
+		RunRequest: cell.Req,
+		Sizes:      []int{cell.Req.Size},
+		Modes:      []string{cell.Req.Mode},
+	}
 }

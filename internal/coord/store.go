@@ -94,6 +94,29 @@ func (s *store) len() int {
 	return s.ll.Len()
 }
 
+// get returns key's resident line and its origin (deduped, or resumed
+// for a replayed line), marking it most recently used. ok is false when
+// key is not resident; get never waits on a flight or dispatches.
+func (s *store) get(key string) (line []byte, from origin, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hit(key)
+}
+
+// hit is get's lookup for a caller that holds mu.
+func (s *store) hit(key string) ([]byte, origin, bool) {
+	el, ok := s.byKey[key]
+	if !ok {
+		return nil, dispatched, false
+	}
+	s.ll.MoveToFront(el)
+	e := el.Value.(*entry)
+	if e.replayed {
+		return e.line, resumed, true
+	}
+	return e.line, deduped, true
+}
+
 // getOrDo returns the line for key, running do at most once per key
 // across all concurrent callers, and journals a fresh line before
 // returning it, so completion and durability travel together. A waiter
@@ -103,14 +126,9 @@ func (s *store) len() int {
 func (s *store) getOrDo(ctx context.Context, key string, do func() ([]byte, error)) ([]byte, origin, error) {
 	for {
 		s.mu.Lock()
-		if el, ok := s.byKey[key]; ok {
-			s.ll.MoveToFront(el)
-			e := el.Value.(*entry)
+		if line, from, ok := s.hit(key); ok {
 			s.mu.Unlock()
-			if e.replayed {
-				return e.line, resumed, nil
-			}
-			return e.line, deduped, nil
+			return line, from, nil
 		}
 		if fl, ok := s.flight[key]; ok {
 			s.mu.Unlock()

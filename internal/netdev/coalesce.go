@@ -114,24 +114,30 @@ func (c CoalesceConfig) Validate() error {
 
 // String renders the config in spec form (diagnostics, fingerprints).
 func (c CoalesceConfig) String() string {
+	return string(c.AppendSpec(make([]byte, 0, 64)))
+}
+
+// AppendSpec appends the String form to b: the mode, then each non-zero
+// parameter as ",key=value" ("adaptive,frames=8,min=5,max=250"), or
+// "legacy" for the paper-era throttle.
+func (c CoalesceConfig) AppendSpec(b []byte) []byte {
 	if c.Legacy() {
-		return CoalesceLegacy
+		return append(b, CoalesceLegacy...)
 	}
-	var b strings.Builder
-	b.WriteString(c.Mode)
+	b = append(b, c.Mode...)
 	if c.Usecs != 0 {
-		fmt.Fprintf(&b, ",usecs=%d", c.Usecs)
+		b = strconv.AppendUint(append(b, ",usecs="...), c.Usecs, 10)
 	}
 	if c.Frames != 0 {
-		fmt.Fprintf(&b, ",frames=%d", c.Frames)
+		b = strconv.AppendInt(append(b, ",frames="...), int64(c.Frames), 10)
 	}
 	if c.MinUsecs != 0 {
-		fmt.Fprintf(&b, ",min=%d", c.MinUsecs)
+		b = strconv.AppendUint(append(b, ",min="...), c.MinUsecs, 10)
 	}
 	if c.MaxUsecs != 0 {
-		fmt.Fprintf(&b, ",max=%d", c.MaxUsecs)
+		b = strconv.AppendUint(append(b, ",max="...), c.MaxUsecs, 10)
 	}
-	return b.String()
+	return b
 }
 
 // ParseCoalesce resolves a coalescing spec: "" for legacy,
