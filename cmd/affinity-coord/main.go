@@ -19,8 +19,8 @@
 //	-retry-cap d         backoff ceiling (default 5s)
 //	-hedge-after d       straggler hedge delay; <0 disables (default 30s)
 //	-memo-entries n      fleet result-store entry bound, which also bounds
-//	                     the journal's durable set (default 65536; must
-//	                     not be negative)
+//	                     the journal's durable set and the request→key
+//	                     index (default 65536; must not be negative)
 //	-journal-dir path    durable cell journal; a restarted coordinator
 //	                     replays it and re-dispatches only missing cells
 //	-journal-sync d      journal group-commit fsync interval (default 100ms)

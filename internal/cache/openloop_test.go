@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -20,13 +21,21 @@ import (
 // Beyond determinism, the cell itself must complete: all 100k generated
 // connections terminal, none abandoned, no SYN drops at the default
 // offered load.
+//
+// Under the race detector the cell has 10k connections: the three paths
+// and their concurrency (runner workers, singleflight, disk store) are
+// the same, and 100k would take ten minutes there.
 func TestOpenLoopCellBitIdentity100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-connection cell takes ~half a minute per simulation")
 	}
+	conns := 100_000
+	if raceEnabled {
+		conns = 10_000
+	}
 
 	cfg := core.DefaultConfig(core.ModeFull, ttcp.TX, 65536)
-	ws, err := core.ParseWorkload("openloop,conns=100000")
+	ws, err := core.ParseWorkload(fmt.Sprintf("openloop,conns=%d", conns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestOpenLoopCellBitIdentity100k(t *testing.T) {
 	}
 
 	// The cell must run to completion at the default offered load.
-	if serial.ConnsGenerated != 100_000 || serial.Transactions != 100_000 {
+	if serial.ConnsGenerated != uint64(conns) || serial.Transactions != uint64(conns) {
 		t.Fatalf("cell incomplete: generated=%d completed=%d abandoned=%d syndrops=%d",
 			serial.ConnsGenerated, serial.Transactions, serial.ConnsAbandoned, serial.SynDrops)
 	}

@@ -67,7 +67,8 @@ type Options struct {
 	HedgeAfter time.Duration
 	// MemoEntries bounds the raw-line result store (entries, not bytes —
 	// one NDJSON line is a few KiB), and with it the journal's durable
-	// set. 0 selects 65536; negative is an error.
+	// set and the request→key index. 0 selects 65536; negative is an
+	// error.
 	MemoEntries int
 	// JournalDir enables the durable cell journal under this directory:
 	// every completed cacheable cell's raw line is journaled, and a
@@ -95,6 +96,7 @@ type Options struct {
 type Coordinator struct {
 	reg     *registry
 	store   *store
+	keys    *keyIndex
 	metrics *cmetrics
 	client  *http.Client
 	version string
@@ -184,6 +186,7 @@ func New(opts Options) (*Coordinator, error) {
 		journal = j
 	}
 	c.store = newStore(entries, journal)
+	c.keys = newKeyIndex(entries)
 	c.metrics = newCMetrics(c)
 	for _, u := range opts.Workers {
 		c.reg.upsert(strings.TrimRight(u, "/"), "", 0)
@@ -346,10 +349,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A resident cell is answered here, from the store, with its key
-	// computed once. Every other cell dispatches concurrently, handed its
-	// key (backpressure comes from the fleet's slot plan, not from
-	// goroutine count); the stream emits in input order as prefixes
+	// A resident cell is answered here, from the store, under the key
+	// the index holds for it. Every other cell dispatches concurrently,
+	// handed its key (backpressure comes from the fleet's slot plan, not
+	// from goroutine count); the stream emits in input order as prefixes
 	// complete — the same overlap-compute-with-delivery shape as the
 	// worker's own sweep handler.
 	ctx := r.Context()
@@ -357,7 +360,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	errs := make([]error, len(cells))
 	ready := make([]chan struct{}, len(cells)) // nil: lines[i] is resident
 	for i := range cells {
-		key := cellKey(cells[i].Cfg)
+		key := c.keys.key(cells[i])
 		if key != "" {
 			if line, from, ok := c.store.get(key); ok {
 				c.countHit(from)
@@ -434,7 +437,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		serve.HTTPError(w, http.StatusInternalServerError, "single-cell expansion failed: %v", err)
 		return
 	}
-	line, err := c.cell(r.Context(), cells[0], cellKey(cells[0].Cfg))
+	line, err := c.cell(r.Context(), cells[0], c.keys.key(cells[0]))
 	if err != nil {
 		serve.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -547,7 +550,47 @@ func cellKey(cfg core.Config) string {
 	if !cache.Cacheable(cfg) {
 		return ""
 	}
-	return cache.Fingerprint(cfg)
+	return fingerprint(cfg)
+}
+
+// fingerprint is the key function cellKey applies; tests wrap it to
+// count the keys a request computes.
+var fingerprint = cache.Fingerprint
+
+// keyIndex maps an expanded cell's single-cell request to its cellKey,
+// so each distinct cell is keyed once per coordinator, not once per
+// request naming it. The key is a pure function of that request:
+// RunRequest.Config reads no file (it refuses "@file" specs), the
+// coordinator applies no operator defaults, and the request a cell
+// forwards resolves on a worker to the key it is stored under
+// (FuzzSweepExpand). The index is bounded like the store and cleared
+// when full; a cleared entry only costs one recomputation.
+type keyIndex struct {
+	mu   sync.Mutex
+	max  int
+	keys map[serve.RunRequest]string
+}
+
+func newKeyIndex(maxEntries int) *keyIndex {
+	return &keyIndex{max: maxEntries, keys: make(map[serve.RunRequest]string)}
+}
+
+// key returns cell's cellKey, computing it outside the lock on a miss.
+func (x *keyIndex) key(cell serve.SweepCell) string {
+	x.mu.Lock()
+	key, ok := x.keys[cell.Req]
+	x.mu.Unlock()
+	if ok {
+		return key
+	}
+	key = cellKey(cell.Cfg)
+	x.mu.Lock()
+	if len(x.keys) >= x.max {
+		clear(x.keys)
+	}
+	x.keys[cell.Req] = key
+	x.mu.Unlock()
+	return key
 }
 
 // cell produces the raw NDJSON line for one cell under its cellKey

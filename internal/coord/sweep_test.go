@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -164,9 +165,12 @@ func TestWarmSweepNoDispatch(t *testing.T) {
 // FuzzSweepExpand feeds arbitrary /v1/sweep bodies through the
 // coordinator's decoding, expansion and key step. Expansion must never
 // panic; one body decoded twice must give one cell list and one key
-// list; every cell's key must be its cache.Fingerprint; and the
-// single-cell sweep forwarded to a worker must expand there to one cell
-// under the same key, the key its answer is stored and journaled under.
+// list; every cell's key must be its cache.Fingerprint, also when taken
+// through a key index shared by every input, on the first expansion (a
+// miss, or a hit left by an earlier body naming the same cell request)
+// and on the repeat (a hit); and the single-cell sweep forwarded to a
+// worker must expand there to one cell under the same key, the key its
+// answer is stored and journaled under.
 func FuzzSweepExpand(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -192,6 +196,7 @@ func FuzzSweepExpand(f *testing.F) {
 		}
 		return rq.Expand()
 	}
+	index := newKeyIndex(1 << 12)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		cells, err := expand(body)
 		again, err2 := expand(body)
@@ -212,8 +217,15 @@ func FuzzSweepExpand(f *testing.F) {
 			if key != cellKey(again[i].Cfg) {
 				t.Fatalf("%s: cell %d has two keys", body, i)
 			}
-			if key == "" || key != cache.Fingerprint(cell.Cfg) {
-				t.Fatalf("%s: cell %d keyed %q, want its fingerprint %s", body, i, key, cache.Fingerprint(cell.Cfg))
+			want := cache.Fingerprint(cell.Cfg)
+			if key == "" || key != want {
+				t.Fatalf("%s: cell %d keyed %q, want its fingerprint %s", body, i, key, want)
+			}
+			if k := index.key(cell); k != want {
+				t.Fatalf("%s: cell %d indexed under %q on the first expansion, want its fingerprint %s", body, i, k, want)
+			}
+			if k := index.key(again[i]); k != want {
+				t.Fatalf("%s: cell %d indexed under %q on the repeat, want its fingerprint %s", body, i, k, want)
 			}
 			wire, err := json.Marshal(forward(cell))
 			if err != nil {
@@ -228,4 +240,117 @@ func FuzzSweepExpand(f *testing.F) {
 			}
 		}
 	})
+}
+
+// countFingerprints wraps the coordinator's key function for the rest of
+// the test and returns the number of keys computed so far.
+func countFingerprints(t *testing.T) func() int64 {
+	var n atomic.Int64
+	orig := fingerprint
+	fingerprint = func(cfg core.Config) string {
+		n.Add(1)
+		return orig(cfg)
+	}
+	t.Cleanup(func() { fingerprint = orig })
+	return n.Load
+}
+
+// TestWarmSweepKeysOnce: the cold sweep keys each of its cells once, and
+// a repeat of it, or a /v1/run of one of its cells, computes no key at
+// all: the index answers every cell the coordinator has keyed before.
+func TestWarmSweepKeysOnce(t *testing.T) {
+	const body = `{"sizes":[1,2,3],"modes":["none","full"]}`
+	const cells = 6
+	keyed := countFingerprints(t)
+	cts, _ := newStubFleet(t, &stubWorker{}, "")
+	code, cold := post(t, cts.URL+"/v1/sweep", body)
+	if code != http.StatusOK || strings.Count(cold, "\n") != cells {
+		t.Fatalf("cold sweep: status %d, body %q", code, cold)
+	}
+	if n := keyed(); n != cells {
+		t.Fatalf("cold sweep computed %d keys, want one per cell (%d)", n, cells)
+	}
+	for i := 0; i < 3; i++ {
+		if code, warm := post(t, cts.URL+"/v1/sweep", body); code != http.StatusOK || warm != cold {
+			t.Fatalf("warm sweep %d: status %d, body %q; want the cold bytes %q", i, code, warm, cold)
+		}
+	}
+	if code, _ := post(t, cts.URL+"/v1/run", `{"size":2,"mode":"full"}`); code != http.StatusOK {
+		t.Fatalf("/v1/run of a swept cell: status %d", code)
+	}
+	if n := keyed(); n != cells {
+		t.Errorf("warm requests computed %d keys, want 0", n-cells)
+	}
+}
+
+// TestKeyIndexBound runs sweeps on a coordinator whose MemoEntries is
+// smaller than the sweep: the index never holds more than that many
+// requests, clears when full, and every cell taken through it, on every
+// pass, still keys to its own fingerprint.
+func TestKeyIndexBound(t *testing.T) {
+	const memo = 4
+	stub := &stubWorker{}
+	wts := httptest.NewServer(stub)
+	t.Cleanup(wts.Close)
+	cts, c := newCoord(t, Options{Heartbeat: time.Hour, HedgeAfter: -1, MemoEntries: memo})
+	register(t, cts.URL, wts.URL, 16)
+
+	rq := serve.SweepRequest{Sizes: []int{1, 2, 3, 4, 5}, Modes: []string{"none", "full"}}
+	cells, err := rq.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		code, out := post(t, cts.URL+"/v1/sweep", string(body))
+		if code != http.StatusOK || strings.Count(out, "\n") != len(cells) {
+			t.Fatalf("pass %d: status %d, body %q", pass, code, out)
+		}
+		if n := c.keys.size(); n > memo {
+			t.Fatalf("pass %d: the index holds %d requests, bound %d", pass, n, memo)
+		}
+	}
+	cleared := false
+	for i, cell := range cells {
+		before := c.keys.size()
+		if got, want := c.keys.key(cell), cache.Fingerprint(cell.Cfg); got != want {
+			t.Fatalf("cell %d keyed %s, want its fingerprint %s", i, got, want)
+		}
+		if n := c.keys.size(); n > memo {
+			t.Fatalf("cell %d: the index holds %d requests, bound %d", i, n, memo)
+		} else if n < before {
+			cleared = true
+		}
+	}
+	if !cleared {
+		t.Error("the index never cleared while keying more cells than its bound")
+	}
+}
+
+// size reports how many requests the index holds.
+func (x *keyIndex) size() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.keys)
+}
+
+// TestKeyIndexHitAllocs pins a key-index hit, the warm path of every
+// sweep cell, to zero allocations.
+func TestKeyIndexHitAllocs(t *testing.T) {
+	cells, err := serve.SweepRequest{Sizes: []int{65536}, Modes: []string{"full"}}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newKeyIndex(16)
+	want := x.key(cells[0])
+	if n := testing.AllocsPerRun(1000, func() {
+		if x.key(cells[0]) != want {
+			t.Fatal("the index changed its key")
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per index hit, want 0", n)
+	}
 }

@@ -687,7 +687,9 @@ type txSlot struct {
 
 // txRing is the transmit descriptor ring: reserve → commit → (wire) →
 // done → clean/release. A request holds its reserved slot until release,
-// so each stage's FIFO holds at most capacity entries.
+// so each stage's FIFO holds at most capacity entries. The stage FIFOs
+// start empty and grow on demand: most cells keep a few frames in
+// flight, never the ring's full depth.
 type txRing struct {
 	capacity  int
 	descBase  mem.Addr
@@ -699,11 +701,7 @@ type txRing struct {
 }
 
 func newTxRing(capacity int, descBase mem.Addr) *txRing {
-	return &txRing{capacity: capacity, descBase: descBase,
-		queued:    fifo.New[txEntry](capacity),
-		doneStage: fifo.New[txEntry](capacity),
-		done:      fifo.New[txEntry](capacity),
-	}
+	return &txRing{capacity: capacity, descBase: descBase}
 }
 
 func (r *txRing) free() int { return r.capacity - r.inUse }
@@ -759,29 +757,35 @@ func (r *txRing) nextClean() (txCleanSlot, bool) {
 
 func (r *txRing) release(int) { r.inUse-- }
 
-type rxSlot struct {
+// rxBuf is a posted receive buffer: a descriptor slot awaiting DMA.
+type rxBuf struct {
 	index    int
 	descAddr mem.Addr
 	buf      mem.Addr
 	cookie   any
-	frame    WireFrame
+}
+
+// rxSlot is a filled descriptor: the posted buffer and the frame DMA
+// placed in it.
+type rxSlot struct {
+	rxBuf
+	frame WireFrame
 }
 
 // rxRing is the receive descriptor ring: post/refill → DMA fill → clean.
 // post refuses to hold more than capacity buffers across both FIFOs.
+// free is sized for the ring, which PrimeRx fills; filled grows on
+// demand, to the depth of the cell's receive backlog.
 type rxRing struct {
 	capacity int
 	descBase mem.Addr
 	seq      int
-	free     fifo.Queue[rxSlot]
+	free     fifo.Queue[rxBuf]
 	filled   fifo.Queue[rxSlot]
 }
 
 func newRxRing(capacity int, descBase mem.Addr) *rxRing {
-	return &rxRing{capacity: capacity, descBase: descBase,
-		free:   fifo.New[rxSlot](capacity),
-		filled: fifo.New[rxSlot](capacity),
-	}
+	return &rxRing{capacity: capacity, descBase: descBase, free: fifo.New[rxBuf](capacity)}
 }
 
 func (r *rxRing) posted() int { return r.free.Len() }
@@ -792,7 +796,7 @@ func (r *rxRing) post(buf mem.Addr, cookie any) {
 	}
 	idx := r.seq % r.capacity
 	r.seq++
-	r.free.Push(rxSlot{
+	r.free.Push(rxBuf{
 		index:    idx,
 		descAddr: r.descBase + mem.Addr(idx*descBytes),
 		buf:      buf,
@@ -805,11 +809,11 @@ func (r *rxRing) refill(index int, buf mem.Addr, cookie any) {
 }
 
 func (r *rxRing) fill(f WireFrame) (rxSlot, bool) {
-	s, ok := r.free.Pop()
+	b, ok := r.free.Pop()
 	if !ok {
 		return rxSlot{}, false
 	}
-	s.frame = f
+	s := rxSlot{rxBuf: b, frame: f}
 	r.filled.Push(s)
 	return s, true
 }

@@ -119,9 +119,11 @@ func (a *sockStats) add(b *sockStats) {
 // Arena growth granularity. State is stored in fixed-capacity chunks so
 // slot addresses stay stable while the arena grows: a task holding a
 // *sockTx across a sleep must not be invalidated by a passive open
-// growing the arena underneath it.
+// growing the arena underneath it. A chunk is 64 slots, 24 KB across
+// the four arrays: an 8-connection bulk cell pays for one chunk, not
+// for hundreds of slots it never binds.
 const (
-	arenaChunkShift = 9
+	arenaChunkShift = 6
 	arenaChunk      = 1 << arenaChunkShift
 	arenaChunkMask  = arenaChunk - 1
 )

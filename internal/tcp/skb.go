@@ -110,22 +110,24 @@ func newPool(st *Stack, nSKB, nClone int) *Pool {
 	headers := k.Space.AllocPage(nSKB*skbHeaderBytes, "skb_headers")
 	data := k.Space.AllocPage(nSKB*skbDataBytes, "skb_data")
 	p.skbs = make([]SKB, nSKB)
+	p.freeSKBs = make([]int32, nSKB)
 	for i := 0; i < nSKB; i++ {
 		p.skbs[i] = SKB{
 			idx:      int32(i),
 			HeadAddr: headers + mem.Addr(i*skbHeaderBytes),
 			DataAddr: data + mem.Addr(i*skbDataBytes),
 		}
-		p.freeSKBs = append(p.freeSKBs, int32(i))
+		p.freeSKBs[i] = int32(i)
 	}
 	cloneHeaders := k.Space.AllocPage(nClone*skbHeaderBytes, "clone_headers")
 	p.clones = make([]Clone, nClone)
+	p.freeClone = make([]int32, nClone)
 	for i := 0; i < nClone; i++ {
 		p.clones[i] = Clone{
 			idx:      int32(i),
 			HeadAddr: cloneHeaders + mem.Addr(i*skbHeaderBytes),
 		}
-		p.freeClone = append(p.freeClone, int32(i))
+		p.freeClone[i] = int32(i)
 	}
 	return p
 }
