@@ -283,7 +283,7 @@ const DefaultCacheBytes = cache.DefaultMaxBytes
 
 // NewCache builds a result cache bounded to maxBytes resident bytes
 // (<=0 disables the bound). A non-empty dir adds a persistent on-disk
-// store under that directory.
+// journal under that directory; Close the cache when done with it.
 func NewCache(maxBytes int64, dir string) *Cache { return cache.New(maxBytes, dir) }
 
 // Fingerprint returns the canonical content hash of a configuration —

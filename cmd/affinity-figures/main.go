@@ -77,7 +77,9 @@ func main() {
 
 	runner := affinity.NewRunner(*workers)
 	if *useCache || *cacheDir != "" {
-		affinity.UseCache(runner, affinity.NewCache(*cacheBytes, *cacheDir))
+		c := affinity.NewCache(*cacheBytes, *cacheDir)
+		defer c.Close()
+		affinity.UseCache(runner, c)
 	}
 
 	if *verify {

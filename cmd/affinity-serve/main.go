@@ -15,7 +15,7 @@
 //	                     slot (0 = none)
 //	-max-sim-cycles n    per-simulation simulated-cycle budget (0 = none)
 //	-cache-bytes n       in-memory result-cache bound (default 256 MiB)
-//	-cache-dir path      on-disk result store (default $AFFINITY_CACHE_DIR)
+//	-cache-dir path      on-disk result journal (default $AFFINITY_CACHE_DIR)
 //	-drain d             shutdown drain budget after SIGINT/SIGTERM (default 30s)
 //	-workload spec       default workload for requests that omit one
 //	                     (core.ParseWorkload syntax, e.g.
@@ -36,8 +36,8 @@
 // internal/serve for request schemas; the README's "Serving the
 // simulator" section has a curl walkthrough.
 //
-// On SIGINT/SIGTERM the listener closes immediately and in-flight
-// requests get the drain budget to finish before the process exits.
+// On SIGINT/SIGTERM the listener closes, in-flight requests get the drain
+// budget to finish, and a completed drain checkpoints the -cache-dir journal.
 package main
 
 import (
@@ -68,7 +68,7 @@ func main() {
 	simBudget := flag.Duration("sim-budget", 0, "per-simulation wall-clock budget (0 = none)")
 	maxSimCycles := flag.Uint64("max-sim-cycles", 0, "per-simulation simulated-cycle budget (0 = none)")
 	cacheBytes := flag.Int64("cache-bytes", cache.DefaultMaxBytes, "in-memory result-cache byte bound (<=0 = unbounded)")
-	cacheDir := flag.String("cache-dir", os.Getenv(cache.DirEnv), "on-disk result store directory (empty = memory only)")
+	cacheDir := flag.String("cache-dir", os.Getenv(cache.DirEnv), "on-disk result journal directory (empty = memory only)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 	workloadFlag := flag.String("workload", "", `default workload spec for requests that omit one ("kind,k=v,..." or @spec.json; empty = bulk ttcp)`)
 	coalesceFlag := flag.String("coalesce", "", `default coalescing spec for requests that omit one ("mode,k=v,..." or @config.json; empty = legacy throttle)`)
@@ -152,6 +152,9 @@ func main() {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "affinity-serve: drain incomplete:", err)
 			os.Exit(1)
+		}
+		if err := c.Close(); err != nil { // checkpoints the -cache-dir journal
+			fmt.Fprintln(os.Stderr, "affinity-serve: journal checkpoint:", err)
 		}
 	}
 	st := c.Stats()

@@ -1,15 +1,15 @@
 package cache
 
 import (
-	"container/list"
-	"sync"
+	"context"
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/perf"
 )
 
-// DirEnv names the environment variable selecting the on-disk store
+// DirEnv names the environment variable selecting the on-disk journal
 // directory. Empty or unset keeps the cache memory-only.
 const DirEnv = "AFFINITY_CACHE_DIR"
 
@@ -20,13 +20,15 @@ const DirEnv = "AFFINITY_CACHE_DIR"
 const DefaultMaxBytes = 256 << 20
 
 // Cache memoizes simulation Results keyed by config Fingerprint. It is
-// safe for concurrent use. Layers, checked in order:
+// safe for concurrent use. It is a Store of decoded Results bounded by
+// their estimated bytes, so a memory hit decodes nothing:
 //
 //  1. a byte-bounded in-memory LRU,
 //  2. singleflight: concurrent requests for the same fingerprint wait
 //     for one leader instead of simulating redundantly,
-//  3. an optional on-disk store (gob, atomic write-rename), surviving
-//     process restarts,
+//  3. an optional journal under dir holding one encoded Result per
+//     fingerprint, replayed into the LRU when the cache opens, so
+//     results survive process restarts,
 //  4. the simulation itself.
 //
 // A nil *Cache is the disabled state: GetOrRun degenerates to calling
@@ -34,47 +36,46 @@ const DefaultMaxBytes = 256 << 20
 type Cache struct {
 	maxBytes int64
 	dir      string
+	store    *Store[*core.Result]
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	byKey  map[string]*list.Element
-	flight map[string]*flightCall
-	bytes  int64
-
-	hits            atomic.Uint64
-	misses          atomic.Uint64
-	coalesced       atomic.Uint64
-	diskHits        atomic.Uint64
-	evictions       atomic.Uint64
-	sims            atomic.Uint64
-	diskErrors      atomic.Uint64
-	corruptDiscards atomic.Uint64
-	aborts          atomic.Uint64
-	inflight        atomic.Int64
+	sims       atomic.Uint64
+	aborts     atomic.Uint64
+	openErrors atomic.Uint64
+	inflight   atomic.Int64
 }
 
-type entry struct {
-	key  string
-	res  *core.Result
-	size int64
-}
-
-type flightCall struct {
-	done chan struct{}
-	res  *core.Result // set before done is closed; nil if the leader panicked
-}
+// errAborted marks an aborted simulation to the store: a failure, handed
+// back to the caller that owns the cancel and never stored or shared.
+var errAborted = errors.New("cache: simulation aborted")
 
 // New builds a cache bounded to maxBytes of in-memory results
-// (maxBytes <= 0 means unbounded) with an optional disk store rooted at
-// dir ("" disables persistence; the directory is created on first write).
+// (maxBytes <= 0 means unbounded) with an optional journal under dir
+// ("" disables persistence). A journal that cannot be opened counts one
+// disk error and leaves the cache memory-only.
 func New(maxBytes int64, dir string) *Cache {
-	return &Cache{
-		maxBytes: maxBytes,
-		dir:      dir,
-		ll:       list.New(),
-		byKey:    make(map[string]*list.Element),
-		flight:   make(map[string]*flightCall),
+	c := &Cache{maxBytes: maxBytes, dir: dir}
+	var j *Journal
+	if dir != "" {
+		var err error
+		if j, err = OpenJournal(dir, 0); err != nil {
+			c.openErrors.Add(1)
+		}
 	}
+	c.store = NewStore(maxBytes, resultBytes, j, EncodeResult, DecodeResult)
+	return c
+}
+
+// Close checkpoints the journal to the resident results, so the next
+// process replays one compact file, and closes it. Nil-safe.
+func (c *Cache) Close() error {
+	if c == nil {
+		return nil
+	}
+	err := c.store.Checkpoint()
+	if cerr := c.store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Run is GetOrRun over the canonical core.Run.
@@ -96,92 +97,25 @@ func (c *Cache) GetOrRun(cfg core.Config, run core.RunFunc) *core.Result {
 	if c == nil || !Cacheable(cfg) {
 		return run(cfg)
 	}
-	key := Fingerprint(cfg)
-	for {
-		c.mu.Lock()
-		if el, ok := c.byKey[key]; ok {
-			c.ll.MoveToFront(el)
-			res := el.Value.(*entry).res
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return res
-		}
-		if fl, ok := c.flight[key]; ok {
-			c.mu.Unlock()
-			c.coalesced.Add(1)
-			<-fl.done
-			if fl.res != nil {
-				return fl.res
-			}
-			// The leader panicked; loop and contend for leadership so
-			// the failure propagates here too instead of hanging.
-			continue
-		}
-		fl := &flightCall{done: make(chan struct{})}
-		c.flight[key] = fl
-		c.mu.Unlock()
-		return c.lead(key, cfg, run, fl)
-	}
-}
-
-// lead performs the non-deduplicated path: disk lookup, then simulation,
-// then population of both stores, releasing singleflight waiters on the
-// way out (including on panic).
-func (c *Cache) lead(key string, cfg core.Config, run core.RunFunc, fl *flightCall) *core.Result {
-	defer func() {
-		c.mu.Lock()
-		delete(c.flight, key)
-		c.mu.Unlock()
-		close(fl.done)
-	}()
-	c.misses.Add(1)
-	res, ok := c.loadDisk(key, cfg)
-	if ok {
-		c.diskHits.Add(1)
-	} else {
+	res, from, _ := c.store.GetOrDo(context.Background(), Fingerprint(cfg), func() (*core.Result, error) {
 		c.sims.Add(1)
 		c.inflight.Add(1)
-		res = run(cfg)
-		c.inflight.Add(-1)
+		defer c.inflight.Add(-1)
+		res := run(cfg)
 		if res != nil && res.Aborted {
-			// An aborted run is a failure signal, not a result: hand it
-			// back to the caller that owns the cancel, but keep it out of
-			// both stores and leave fl.res nil, so coalesced waiters
-			// re-contend for leadership with their own (live) signal
-			// instead of inheriting this caller's abort.
 			c.aborts.Add(1)
-			return res
+			return res, errAborted
 		}
-		c.storeDisk(key, res)
+		return res, nil
+	})
+	if from == Resumed {
+		// A replayed Result carries no Config; this caller's own is the
+		// one the fingerprint proved equivalent.
+		r := *res
+		r.Cfg = cfg
+		res = &r
 	}
-	c.insert(key, res)
-	fl.res = res
 	return res
-}
-
-// insert adds a result to the LRU, evicting from the cold end until the
-// byte bound holds again. A single result larger than the whole bound is
-// not admitted (it would only evict everything else for one entry).
-func (c *Cache) insert(key string, res *core.Result) {
-	size := resultBytes(res)
-	if c.maxBytes > 0 && size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byKey[key]; ok {
-		return // a racing leader of an earlier generation already did
-	}
-	c.byKey[key] = c.ll.PushFront(&entry{key: key, res: res, size: size})
-	c.bytes += size
-	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		cold := c.ll.Back()
-		e := cold.Value.(*entry)
-		c.ll.Remove(cold)
-		delete(c.byKey, e.key)
-		c.bytes -= e.size
-		c.evictions.Add(1)
-	}
 }
 
 // resultBytes estimates the resident size of one cached Result: the
@@ -210,23 +144,22 @@ type Stats struct {
 	MaxBytes int64
 	// Hits are in-memory LRU hits; Coalesced are requests that waited on
 	// an identical in-flight computation instead of simulating; DiskHits
-	// are misses served from the on-disk store; Sims are actual
-	// simulations executed; Misses = DiskHits + Sims.
+	// are hits on a result replayed from the on-disk journal; Sims are
+	// actual simulations executed; Misses = DiskHits + Sims.
 	Hits, Misses, Coalesced, DiskHits, Sims uint64
 	// Evictions counts LRU entries dropped to hold the byte bound.
 	Evictions uint64
-	// DiskErrors counts failed best-effort disk reads/writes.
+	// DiskErrors counts failed best-effort journal opens and writes.
 	DiskErrors uint64
-	// CorruptDiscards counts persisted entries that failed to decode
-	// (truncated gob, unreconstructable counter dump) and were unlinked
-	// so every waiter and future lookup treats the key as a clean miss.
+	// CorruptDiscards counts journal records discarded on replay (see
+	// Journal); their keys are clean misses.
 	CorruptDiscards uint64
 	// Aborts counts simulations that returned Aborted (cancelled or over
 	// budget) and were therefore kept out of every store.
 	Aborts uint64
 	// Inflight is the number of simulations executing right now.
 	Inflight int64
-	// Dir is the disk store root ("" = memory only).
+	// Dir is the journal directory ("" = memory only).
 	Dir string
 }
 
@@ -235,21 +168,21 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.bytes
-	c.mu.Unlock()
+	entries, bytes := c.store.Size()
+	js := c.store.JournalStats()
+	diskHits, sims := c.store.served[Resumed].Load(), c.sims.Load()
 	return Stats{
 		Entries:         entries,
 		Bytes:           bytes,
 		MaxBytes:        c.maxBytes,
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		Coalesced:       c.coalesced.Load(),
-		DiskHits:        c.diskHits.Load(),
-		Sims:            c.sims.Load(),
-		Evictions:       c.evictions.Load(),
-		DiskErrors:      c.diskErrors.Load(),
-		CorruptDiscards: c.corruptDiscards.Load(),
+		Hits:            c.store.served[Hit].Load(),
+		Coalesced:       c.store.served[Shared].Load(),
+		DiskHits:        diskHits,
+		Sims:            sims,
+		Misses:          diskHits + sims,
+		Evictions:       c.store.evictions.Load(),
+		DiskErrors:      c.openErrors.Load() + js.WriteErrors,
+		CorruptDiscards: js.CorruptDiscards,
 		Aborts:          c.aborts.Load(),
 		Inflight:        c.inflight.Load(),
 		Dir:             c.dir,

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -241,11 +242,12 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 func TestDiskStoreDiscardsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg(1)
-	c := New(DefaultMaxBytes, dir)
 	key := Fingerprint(cfg)
-	if err := writeFile(c.path(key), []byte("not gob")); err != nil {
+	// An intact journal record whose payload is not an encoded Result.
+	if err := writeFile(filepath.Join(dir, walName), appendRecord(nil, key, []byte("not a Result"))); err != nil {
 		t.Fatal(err)
 	}
+	c := New(DefaultMaxBytes, dir)
 	res := c.Run(cfg)
 	if res == nil {
 		t.Fatal("corrupt disk entry should fall through to simulation")
@@ -268,28 +270,47 @@ func TestDiskStoreDiscardsCorruptEntries(t *testing.T) {
 	}
 }
 
+// TestStaleGobEntryIgnored: a directory an older build filled with one
+// gob file per key is not a journal. Its files are ignored: the key is a
+// clean miss, with no disk error and nothing discarded.
+func TestStaleGobEntryIgnored(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickCfg(1)
+	if err := writeFile(filepath.Join(dir, Fingerprint(cfg)+".gob"), []byte("gob bytes of an older build")); err != nil {
+		t.Fatal(err)
+	}
+	c := New(DefaultMaxBytes, dir)
+	if c.Run(cfg) == nil {
+		t.Fatal("nil result")
+	}
+	if st := c.Stats(); st.Sims != 1 || st.DiskHits != 0 || st.DiskErrors != 0 || st.CorruptDiscards != 0 {
+		t.Errorf("stale gob entry: want a clean miss and 1 sim, got %+v", st)
+	}
+}
+
 // TestCorruptEntryUnderConcurrentReaders is the pathology the discard
-// path exists for: a truncated gob (a process crashed mid-write before
-// rename discipline existed, or the disk ate the tail) hit by many
-// readers at once. Every waiter must get a valid result, the key must
-// simulate exactly once, and the corrupt file must be unlinked — not
-// re-decoded by each new reader forever.
+// path exists for: a journal whose record was torn (a process crashed
+// mid-write, or the disk ate the tail) hit by many readers at once.
+// Every waiter must get a valid result, the key must simulate exactly
+// once, and the torn bytes must be compacted away at open — not
+// re-read by each new process forever, nor left to swallow the records
+// appended after them.
 func TestCorruptEntryUnderConcurrentReaders(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg(1)
 
-	// Persist a good entry, then truncate it to half its bytes.
+	// Persist a good entry, then truncate the journal to half its bytes.
 	seed := New(DefaultMaxBytes, dir)
 	want, err := seed.Run(cfg).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Fingerprint(cfg)
-	good, err := os.ReadFile(seed.path(key))
+	wal := filepath.Join(dir, walName)
+	good, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(seed.path(key), good[:len(good)/2]); err != nil {
+	if err := writeFile(wal, good[:len(good)/2]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -68,7 +68,7 @@ func TestCrashRestartResumesFromJournal(t *testing.T) {
 	if partial == want {
 		t.Fatal("sweep was supposed to be interrupted but completed fully")
 	}
-	journaled := cA.store.len()
+	journaled, _ := cA.store.Size()
 	if journaled == 0 || journaled > 3 {
 		t.Fatalf("journaled cells = %d, want 1..3 (the cells the dying worker served)", journaled)
 	}

@@ -40,6 +40,21 @@ import (
 	"repro/internal/serve"
 )
 
+// Journal is the durable cell journal behind the coordinator's store.
+type Journal = cache.Journal
+
+// OpenJournal opens the journal under dir; see cache.OpenJournal.
+func OpenJournal(dir string, syncEvery time.Duration) (*Journal, error) {
+	return cache.OpenJournal(dir, syncEvery)
+}
+
+// newStore builds the coordinator's store over j (nil for none): raw
+// NDJSON lines, one entry each, journaled verbatim and never re-encoded.
+func newStore(maxEntries int, j *Journal) *cache.Store[[]byte] {
+	return cache.NewStore(int64(maxEntries), func([]byte) int64 { return 1 }, j,
+		func(line []byte) []byte { return line }, func(line []byte) ([]byte, error) { return line, nil })
+}
+
 // Options configures a Coordinator. The zero value is serviceable.
 type Options struct {
 	// Workers seeds the registry with static worker base URLs; more can
@@ -95,7 +110,7 @@ type Options struct {
 // serve it like any http.Handler, Close when done.
 type Coordinator struct {
 	reg     *registry
-	store   *store
+	store   *cache.Store[[]byte]
 	keys    *keyIndex
 	metrics *cmetrics
 	client  *http.Client
@@ -213,7 +228,7 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 func (c *Coordinator) Close() {
 	c.cancel()
 	<-c.done
-	c.store.journal.Close()
+	c.store.Close()
 }
 
 // Shutdown is the graceful-drain Close: it checkpoints the journal —
@@ -224,8 +239,8 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Shutdown() error {
 	c.cancel()
 	<-c.done
-	err := c.store.checkpoint()
-	if cerr := c.store.journal.Close(); err == nil {
+	err := c.store.Checkpoint()
+	if cerr := c.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -362,7 +377,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i := range cells {
 		key := c.keys.key(cells[i])
 		if key != "" {
-			if line, from, ok := c.store.get(key); ok {
+			if line, from, ok := c.store.Get(key); ok {
 				c.countHit(from)
 				lines[i] = line
 				continue
@@ -475,20 +490,21 @@ type CellCounters struct {
 // their caches key results differently and figure outputs may diverge,
 // so deploys should converge the fleet before trusting merged sweeps.
 type HealthResponse struct {
-	Status         string         `json:"status"`
-	Version        string         `json:"version"`
-	WorkersHealthy int            `json:"workers_healthy"`
-	WorkersTotal   int            `json:"workers_total"`
-	MixedVersions  bool           `json:"mixed_versions"`
-	Cells          CellCounters   `json:"cells"`
-	MemoEntries    int            `json:"memo_entries"`
-	Journal        JournalStats   `json:"journal"`
-	Fleet          FleetHealth    `json:"fleet"`
-	WorkerTable    []WorkerStatus `json:"workers"`
+	Status         string             `json:"status"`
+	Version        string             `json:"version"`
+	WorkersHealthy int                `json:"workers_healthy"`
+	WorkersTotal   int                `json:"workers_total"`
+	MixedVersions  bool               `json:"mixed_versions"`
+	Cells          CellCounters       `json:"cells"`
+	MemoEntries    int                `json:"memo_entries"`
+	Journal        cache.JournalStats `json:"journal"`
+	Fleet          FleetHealth        `json:"fleet"`
+	WorkerTable    []WorkerStatus     `json:"workers"`
 }
 
 func (c *Coordinator) health() HealthResponse {
 	table := c.reg.snapshot()
+	memo, _ := c.store.Size()
 	h := HealthResponse{
 		Status:       "ok",
 		Version:      c.version,
@@ -502,8 +518,8 @@ func (c *Coordinator) health() HealthResponse {
 			ResumeHits:      c.metrics.resumeHits.Load(),
 			Failed:          c.metrics.failed.Load(),
 		},
-		MemoEntries: c.store.len(),
-		Journal:     c.store.journalStats(),
+		MemoEntries: memo,
+		Journal:     c.store.JournalStats(),
 		WorkerTable: table,
 	}
 	versions := make(map[string]bool)
@@ -601,7 +617,7 @@ func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell, key string
 	if key == "" {
 		return c.dispatchCell(ctx, cell)
 	}
-	line, from, err := c.store.getOrDo(ctx, key, func() ([]byte, error) {
+	line, from, err := c.store.GetOrDo(ctx, key, func() ([]byte, error) {
 		return c.dispatchCell(ctx, cell)
 	})
 	c.countHit(from)
@@ -610,11 +626,11 @@ func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell, key string
 
 // countHit counts a cell the store answered without this caller
 // dispatching it.
-func (c *Coordinator) countHit(from origin) {
+func (c *Coordinator) countHit(from cache.Origin) {
 	switch from {
-	case resumed:
+	case cache.Resumed:
 		c.metrics.resumeHits.Add(1)
-	case deduped:
+	case cache.Hit, cache.Shared:
 		c.metrics.deduped.Add(1)
 	}
 }

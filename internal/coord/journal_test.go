@@ -3,19 +3,20 @@ package coord
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
-	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // openTestStore opens the journal under dir and replays it into a store
 // bounded to maxEntries, as Coordinator.New does.
-func openTestStore(t *testing.T, dir string, maxEntries int) *store {
+func openTestStore(t *testing.T, dir string, maxEntries int) *cache.Store[[]byte] {
 	t.Helper()
 	j, err := OpenJournal(dir, time.Millisecond)
 	if err != nil {
@@ -26,23 +27,23 @@ func openTestStore(t *testing.T, dir string, maxEntries int) *store {
 }
 
 // put completes one cell through the store's dispatch path.
-func put(t *testing.T, s *store, fp string, line []byte) {
+func put(t *testing.T, s *cache.Store[[]byte], fp string, line []byte) {
 	t.Helper()
-	if _, _, err := s.getOrDo(context.Background(), fp, func() ([]byte, error) { return line, nil }); err != nil {
+	if _, _, err := s.GetOrDo(context.Background(), fp, func() ([]byte, error) { return line, nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// lookup returns fp's resident line without dispatching or touching
-// recency.
-func lookup(s *store, fp string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byKey[fp]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*entry).line, true
+// lookup returns fp's resident line without dispatching.
+func lookup(s *cache.Store[[]byte], fp string) ([]byte, bool) {
+	line, _, ok := s.Get(fp)
+	return line, ok
+}
+
+// record renders one journal record the way the journal writes it.
+func record(fp, line string) []byte {
+	crc := crc32.Checksum([]byte(line), crc32.MakeTable(crc32.Castagnoli))
+	return []byte(fmt.Sprintf("ajl1 %s %d %x %s\n", fp, len(line), crc, line))
 }
 
 // Lines deliberately contain spaces: the record parser must treat the
@@ -53,7 +54,7 @@ var journalLines = map[string][]byte{
 	"fp-gamma": []byte(`{"mode":"Intr Aff","mbps":101.0}`),
 }
 
-func fillJournal(t *testing.T, s *store) {
+func fillJournal(t *testing.T, s *cache.Store[[]byte]) {
 	for fp, line := range journalLines {
 		put(t, s, fp, line)
 	}
@@ -63,12 +64,12 @@ func TestJournalReplayAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, 100)
 	fillJournal(t, s)
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openTestStore(t, dir, 100)
-	st := s2.journalStats()
+	st := s2.JournalStats()
 	if st.Cells != 3 || st.Resumed != 3 {
 		t.Fatalf("stats after reopen = %+v, want 3 cells all resumed", st)
 	}
@@ -85,21 +86,21 @@ func TestJournalAppendIsIdempotent(t *testing.T) {
 	s := openTestStore(t, dir, 100)
 	put(t, s, "fp-dup", []byte(`{"a":1}`))
 	put(t, s, "fp-dup", []byte(`{"a":1}`))
-	if st := s.journalStats(); st.Appends != 1 || st.Cells != 1 {
+	if st := s.JournalStats(); st.Appends != 1 || st.Cells != 1 {
 		t.Fatalf("stats = %+v, want exactly one append for a repeated fingerprint", st)
 	}
 }
 
-// TestJournalCorruptRecordDiscardsTail mirrors the disk cache's
-// CorruptDiscards: a record that fails its CRC — and everything after it,
-// since a torn write orphans the tail — is treated as unknown.
+// TestJournalCorruptRecordDiscardsTail: a record that fails its CRC —
+// and everything after it, since a torn write orphans the tail — is
+// treated as unknown.
 func TestJournalCorruptRecordDiscardsTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, 100)
 	put(t, s, "fp-1", []byte(`{"n":1}`))
 	put(t, s, "fp-2", []byte(`{"n":2}`))
 	put(t, s, "fp-3", []byte(`{"n":3}`))
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +120,7 @@ func TestJournalCorruptRecordDiscardsTail(t *testing.T) {
 	}
 
 	s2 := openTestStore(t, dir, 100)
-	st := s2.journalStats()
+	st := s2.JournalStats()
 	if st.Cells != 1 || st.CorruptDiscards != 1 {
 		t.Fatalf("stats = %+v, want only the record before the corruption to survive", st)
 	}
@@ -136,7 +137,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	s := openTestStore(t, dir, 100)
 	put(t, s, "fp-1", []byte(`{"n":1}`))
 	put(t, s, "fp-2", []byte(`{"n":2}`))
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +152,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 
 	s2 := openTestStore(t, dir, 100)
-	if st := s2.journalStats(); st.Cells != 1 || st.CorruptDiscards != 1 {
+	if st := s2.JournalStats(); st.Cells != 1 || st.CorruptDiscards != 1 {
 		t.Fatalf("stats = %+v, want the torn record discarded", st)
 	}
 	if _, ok := lookup(s2, "fp-1"); !ok {
@@ -163,7 +164,7 @@ func TestJournalCheckpointCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, 100)
 	fillJournal(t, s)
-	if err := s.checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Stat(filepath.Join(dir, "wal")); err != nil || st.Size() != 0 {
@@ -174,12 +175,12 @@ func TestJournalCheckpointCompacts(t *testing.T) {
 	}
 	// Post-checkpoint appends land in the fresh wal.
 	put(t, s, "fp-post", []byte(`{"n":4}`))
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openTestStore(t, dir, 100)
-	st := s2.journalStats()
+	st := s2.JournalStats()
 	if st.Cells != 4 || st.Resumed != 4 {
 		t.Fatalf("stats after checkpoint+append reopen = %+v, want 4 cells", st)
 	}
@@ -194,14 +195,14 @@ func TestJournalFirstWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, 100)
 	put(t, s, "fp-1", []byte(`{"n":"original"}`))
-	if err := s.checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// A stale wal resurrects the fingerprint with different bytes.
-	rec := appendRecord(nil, "fp-1", []byte(`{"n":"stale-dup"}`))
+	rec := record("fp-1", `{"n":"stale-dup"}`)
 	if err := os.WriteFile(filepath.Join(dir, "wal"), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +222,10 @@ func TestJournalNilIsInert(t *testing.T) {
 	if _, ok := lookup(s, "fp"); !ok {
 		t.Fatal("memory-only store lost a line")
 	}
-	if st := s.journalStats(); st != (JournalStats{}) {
+	if st := s.JournalStats(); st != (cache.JournalStats{}) {
 		t.Fatalf("journal-less store reports journal state %+v", st)
 	}
-	if err := s.checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var j *Journal
@@ -234,76 +235,44 @@ func TestJournalNilIsInert(t *testing.T) {
 	}
 }
 
-// refRecord matches one canonical record line: the magic, a fingerprint
-// without spaces, a decimal length and a lower-case hex CRC-32C, both
-// without leading zeros, then the payload.
-var refRecord = regexp.MustCompile(`^ajl1 ([^ ]*) (0|[1-9][0-9]*) (0|[1-9a-f][0-9a-f]*) (.*)$`)
-
-// refReplay is the fuzz oracle, written apart from readRecord: it
-// collects the records of the longest valid prefix of one file into
-// want, keeping the first line per fingerprint, and reports whether it
-// stopped at an invalid record rather than the end of the file.
-func refReplay(file []byte, want map[string]string) (discarded bool) {
-	for len(file) > 0 {
-		nl := bytes.IndexByte(file, '\n')
-		if nl < 0 {
-			return true
+// TestJournalReplaysAjl1Fixture: testdata/journal_ajl1 is a journal
+// directory written by the coordinator before its store moved into
+// internal/cache — a checkpoint of four cells, then a wal of two. It must
+// replay into the same resident set, coldest first, so no journal an
+// earlier build wrote is lost.
+func TestJournalReplaysAjl1Fixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"checkpoint", "wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "journal_ajl1", name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		m := refRecord.FindSubmatch(file[:nl])
-		if m == nil {
-			return true
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		payload := m[4]
-		n, err := strconv.Atoi(string(m[2]))
-		if err != nil || n != len(payload) || n > journalMaxLine || strconv.FormatUint(uint64(crc32.Checksum(payload, crcTable)), 16) != string(m[3]) {
-			return true
-		}
-		if _, ok := want[string(m[1])]; !ok {
-			want[string(m[1])] = string(payload)
-		}
-		file = file[nl+1:]
 	}
-	return false
-}
-
-// FuzzJournalReplay opens a store over arbitrary checkpoint and wal
-// bytes. Replay must not panic; the resident set must be exactly the
-// records of the longest valid prefix of each file, checkpoint first,
-// the first line per fingerprint winning; and each file that stops at
-// an invalid record must count one discard.
-func FuzzJournalReplay(f *testing.F) {
-	recs := appendRecord(appendRecord(nil, "fp-1", []byte(`{"n":1}`)), "fp-2", []byte(`{"n":2}`))
-	flipped := bytes.Replace(recs, []byte(`{"n":2}`), []byte(`{"n":3}`), 1)
-	f.Add([]byte(nil), []byte(nil))
-	f.Add(recs, []byte(nil))
-	f.Add([]byte(nil), recs[:len(recs)-4])                             // torn tail
-	f.Add(appendRecord(nil, "fp-2", []byte(`{"n":"first"}`)), flipped) // flipped CRC, first write wins
-	f.Add(recs, appendRecord(nil, "fp-1", []byte(`{"n":"stale-dup"}`)))
-	f.Fuzz(func(t *testing.T, checkpoint, wal []byte) {
-		dir := t.TempDir()
-		for name, data := range map[string][]byte{checkpointName: checkpoint, walName: wal} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+	s := openTestStore(t, dir, 100)
+	if st := s.JournalStats(); st.Resumed != 6 || st.CorruptDiscards != 0 {
+		t.Fatalf("stats = %+v, want 6 resumed cells and no discard", st)
+	}
+	// Recency survives too: a checkpoint writes the replayed order back.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 1; i <= 6; i++ {
+		want = append(want, fmt.Sprintf("%064x", i*0x1111))
+	}
+	if got := checkpointKeys(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpoint order %v, want %v", got, want)
+	}
+	for i, fp := range want {
+		line := fmt.Sprintf(`{"cell":%d,"mode":"Full Aff","mbps":%d.5}`, i+1, 101+i)
+		if i >= 4 {
+			line = fmt.Sprintf(`{"cell":%d,"mode":"No Aff","mbps":%d.25}`, i+1, 101+i)
 		}
-		want := make(map[string]string)
-		var discards uint64
-		for _, file := range [][]byte{checkpoint, wal} {
-			if refReplay(file, want) {
-				discards++
-			}
+		if got, ok := lookup(s, fp); !ok || string(got) != line {
+			t.Errorf("cell %d: %q, %v; want %q", i+1, got, ok, line)
 		}
-
-		s := openTestStore(t, dir, 1<<20)
-		got := make(map[string]string)
-		for _, e := range s.resident() {
-			got[e.key] = string(e.line)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("resident set %q, want the valid records %q", got, want)
-		}
-		if st := s.journalStats(); st.CorruptDiscards != discards || st.Resumed != len(want) {
-			t.Fatalf("stats %+v, want %d discards and %d resumed", st, discards, len(want))
-		}
-	})
+	}
 }

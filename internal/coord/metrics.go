@@ -40,16 +40,16 @@ func newCMetrics(c *Coordinator) *cmetrics {
 	m.breakerOpens = m.Counter("affinity_coord_breaker_opens_total", "Worker circuit breakers opened (consecutive dispatch failures or a failed half-open probe).")
 	m.cancelled = m.Counter("affinity_coord_dispatches_cancelled_total", "Dispatch attempts cancelled because a twin already won the cell (hedge losers, abandoned requests).")
 	m.resumeHits = m.Counter("affinity_coord_journal_resume_hits_total", "Cells served from the durable journal without dispatching.")
-	journal := c.store.journal
-	m.CounterFunc("affinity_coord_journal_appends_total", "Cells appended to the durable journal this process.", func() uint64 { return journal.Stats().Appends })
-	m.CounterFunc("affinity_coord_journal_corrupt_discards_total", "Corrupt or torn journal records discarded on replay.", func() uint64 { return journal.Stats().CorruptDiscards })
-	m.CounterFunc("affinity_coord_journal_checkpoints_total", "Journal checkpoint compactions.", func() uint64 { return journal.Stats().Checkpoints })
-	m.CounterFunc("affinity_coord_journal_write_errors_total", "Best-effort journal write failures.", func() uint64 { return journal.Stats().WriteErrors })
+	journal := c.store.JournalStats
+	m.CounterFunc("affinity_coord_journal_appends_total", "Cells appended to the durable journal this process.", func() uint64 { return journal().Appends })
+	m.CounterFunc("affinity_coord_journal_corrupt_discards_total", "Corrupt or torn journal records discarded on replay.", func() uint64 { return journal().CorruptDiscards })
+	m.CounterFunc("affinity_coord_journal_checkpoints_total", "Journal checkpoint compactions.", func() uint64 { return journal().Checkpoints })
+	m.CounterFunc("affinity_coord_journal_write_errors_total", "Best-effort journal write failures.", func() uint64 { return journal().WriteErrors })
 	m.Gauge("affinity_coord_workers_healthy", "Workers currently in the healthy set.", func() float64 { return float64(c.health().WorkersHealthy) })
 	m.Gauge("affinity_coord_workers_total", "Workers registered (healthy or not).", func() float64 { return float64(c.health().WorkersTotal) })
-	m.Gauge("affinity_coord_memo_entries", "Resident fleet-memo entries.", func() float64 { return float64(c.store.len()) })
-	m.Gauge("affinity_coord_journal_cells", "Cells resident in the durable journal.", func() float64 { return float64(c.store.journalStats().Cells) })
-	m.Gauge("affinity_coord_journal_wal_bytes", "Un-compacted journal wal bytes.", func() float64 { return float64(journal.Stats().WALBytes) })
+	m.Gauge("affinity_coord_memo_entries", "Resident fleet-memo entries.", func() float64 { n, _ := c.store.Size(); return float64(n) })
+	m.Gauge("affinity_coord_journal_cells", "Cells resident in the durable journal.", func() float64 { return float64(journal().Cells) })
+	m.Gauge("affinity_coord_journal_wal_bytes", "Un-compacted journal wal bytes.", func() float64 { return float64(journal().WALBytes) })
 	m.CounterFunc("affinity_coord_fleet_sims_total", "Simulations executed across the fleet (sum of worker counters).", func() uint64 { return c.health().Fleet.Sims })
 	m.requests = m.CounterVec("affinity_coord_requests_total", "Coordinator HTTP requests, by path and status code.", false, "path", "code")
 	m.workers = m.HistogramVec("affinity_coord_worker_request_seconds", "Dispatch latency per worker.", metrics.LatencyBuckets, "worker")

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -13,10 +12,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // notifyCtx reports, by closing waiting, the first time a caller asks
-// for Done — in store.getOrDo, the moment a waiter starts waiting on a
+// for Done — in Store.GetOrDo, the moment a waiter starts waiting on a
 // flight.
 type notifyCtx struct {
 	context.Context
@@ -35,26 +36,19 @@ func (c *notifyCtx) Done() <-chan struct{} {
 
 func line(n int) []byte { return []byte(fmt.Sprintf(`{"n":%d}`, n)) }
 
-// checkpointKeys reads the checkpoint file's fingerprints in order.
+// checkpointKeys reads the checkpoint file's fingerprints in order; the
+// lines the tests checkpoint hold no newline.
 func checkpointKeys(t *testing.T, dir string) []string {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, checkpointName))
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
 	var keys []string
-	for {
-		fp, _, err := readRecord(r)
-		if err == io.EOF {
-			return keys
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, fp)
+	for _, rec := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		keys = append(keys, strings.Fields(rec)[1])
 	}
+	return keys
 }
 
 func TestStoreBoundHoldsWithJournal(t *testing.T) {
@@ -63,21 +57,21 @@ func TestStoreBoundHoldsWithJournal(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		put(t, s, fmt.Sprintf("fp-%d", i), line(i))
 	}
-	if st := s.journalStats(); st.Cells != 2 || st.Appends != 3 {
+	if st := s.JournalStats(); st.Cells != 2 || st.Appends != 3 {
 		t.Fatalf("stats = %+v, want 2 resident cells of 3 appended", st)
 	}
 	if _, ok := lookup(s, "fp-1"); ok {
 		t.Error("the coldest entry outlived the bound")
 	}
 	// The next checkpoint drops the evicted cell from the durable set.
-	if err := s.checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTestStore(t, dir, 100)
-	if st := s2.journalStats(); st.Resumed != 2 {
+	if st := s2.JournalStats(); st.Resumed != 2 {
 		t.Fatalf("resumed %d cells after checkpoint, want the 2 resident ones", st.Resumed)
 	}
 	if _, ok := lookup(s2, "fp-1"); ok {
@@ -91,11 +85,11 @@ func TestStoreReplayKeepsNewest(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		put(t, s, fmt.Sprintf("fp-%d", i), line(i))
 	}
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTestStore(t, dir, 3)
-	if st := s2.journalStats(); st.Cells != 3 || st.Resumed != 3 {
+	if st := s2.JournalStats(); st.Cells != 3 || st.Resumed != 3 {
 		t.Fatalf("stats = %+v, want 3 of the 5 journaled cells resumed", st)
 	}
 	for i := 1; i <= 5; i++ {
@@ -113,7 +107,7 @@ func TestStoreCheckpointWritesResidentColdestFirst(t *testing.T) {
 	}
 	put(t, s, "a", []byte("a")) // a hit: a becomes the hottest
 	put(t, s, "d", []byte("d")) // evicts b, now the coldest
-	if err := s.checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	got := fmt.Sprint(checkpointKeys(t, dir))
@@ -121,7 +115,7 @@ func TestStoreCheckpointWritesResidentColdestFirst(t *testing.T) {
 		t.Fatalf("checkpoint order = %s, want %s (resident, coldest first)", got, want)
 	}
 	// Replay restores recency: the next eviction takes c.
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTestStore(t, dir, 3)
@@ -137,21 +131,21 @@ func TestStoreHitOrigins(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, 100)
 	put(t, s, "old", []byte("old"))
-	if err := s.journal.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openTestStore(t, dir, 100)
 	fail := func() ([]byte, error) { return nil, errors.New("must not dispatch") }
 	ctx := context.Background()
-	if _, from, err := s2.getOrDo(ctx, "old", fail); err != nil || from != resumed {
-		t.Errorf("replayed hit: origin %v, err %v; want resumed", from, err)
+	if _, from, err := s2.GetOrDo(ctx, "old", fail); err != nil || from != cache.Resumed {
+		t.Errorf("replayed hit: origin %v, err %v; want Resumed", from, err)
 	}
-	if _, from, _ := s2.getOrDo(ctx, "new", func() ([]byte, error) { return []byte("new"), nil }); from != dispatched {
-		t.Errorf("first request: origin %v, want dispatched", from)
+	if _, from, _ := s2.GetOrDo(ctx, "new", func() ([]byte, error) { return []byte("new"), nil }); from != cache.Led {
+		t.Errorf("first request: origin %v, want Led", from)
 	}
-	if _, from, err := s2.getOrDo(ctx, "new", fail); err != nil || from != deduped {
-		t.Errorf("repeat of a cell completed in this process: origin %v, err %v; want deduped", from, err)
+	if _, from, err := s2.GetOrDo(ctx, "new", fail); err != nil || from != cache.Hit {
+		t.Errorf("repeat of a cell completed in this process: origin %v, err %v; want Hit (a dedup)", from, err)
 	}
 
 	release := make(chan struct{})
@@ -159,13 +153,13 @@ func TestStoreHitOrigins(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		s2.getOrDo(ctx, "shared", func() ([]byte, error) { close(started); <-release; return []byte("shared"), nil })
+		s2.GetOrDo(ctx, "shared", func() ([]byte, error) { close(started); <-release; return []byte("shared"), nil })
 	}()
 	<-started
 	wctx := newNotifyCtx(ctx)
 	go func() { <-wctx.waiting; close(release) }()
-	if l, from, err := s2.getOrDo(wctx, "shared", fail); err != nil || string(l) != "shared" || from != deduped {
-		t.Errorf("coalesced wait: %q, origin %v, err %v; want the leader's line, deduped", l, from, err)
+	if l, from, err := s2.GetOrDo(wctx, "shared", fail); err != nil || string(l) != "shared" || from != cache.Shared {
+		t.Errorf("coalesced wait: %q, origin %v, err %v; want the leader's line, Shared (a dedup)", l, from, err)
 	}
 	<-leaderDone
 }
@@ -176,7 +170,7 @@ func TestStoreFailedLeaderLetsWaiterReLead(t *testing.T) {
 	started := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.getOrDo(context.Background(), "k", func() ([]byte, error) {
+		_, _, err := s.GetOrDo(context.Background(), "k", func() ([]byte, error) {
 			close(started)
 			<-release
 			return nil, errors.New("worker hiccup")
@@ -186,12 +180,52 @@ func TestStoreFailedLeaderLetsWaiterReLead(t *testing.T) {
 	<-started
 	ctx := newNotifyCtx(context.Background())
 	go func() { <-ctx.waiting; close(release) }()
-	got, from, err := s.getOrDo(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(got) != "ok" || from != dispatched {
+	got, from, err := s.GetOrDo(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(got) != "ok" || from != cache.Led {
 		t.Fatalf("waiter after a failed leader: %q, origin %v, err %v; want its own dispatch", got, from, err)
 	}
 	if err := <-leaderErr; err == nil {
 		t.Error("leader's failure was not reported to the leader")
+	}
+}
+
+// TestStorePanickingLeaderReleasesKey: a do that panics must not leave
+// its key's flight behind. The panic reaches the leader's own caller; a
+// waiter on the flight, and every later request for the key, re-leads
+// and returns instead of waiting until its ctx dies.
+func TestStorePanickingLeaderReleasesKey(t *testing.T) {
+	s := newStore(100, nil)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		s.GetOrDo(context.Background(), "k", func() ([]byte, error) {
+			close(started)
+			<-release
+			panic("leader bug")
+		})
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	wctx := newNotifyCtx(ctx)
+	go func() { <-wctx.waiting; close(release) }()
+	got, from, err := s.GetOrDo(wctx, "k", func() ([]byte, error) { return []byte("waiter"), nil })
+	if err != nil || string(got) != "waiter" || from != cache.Led {
+		t.Fatalf("waiter on a panicking leader: %q, origin %v, err %v; want its own dispatch", got, from, err)
+	}
+	if r := <-recovered; r == nil {
+		t.Error("the leader's panic did not reach its caller")
+	}
+
+	func() {
+		defer func() { recover() }()
+		s.GetOrDo(ctx, "k2", func() ([]byte, error) { panic("leader bug") })
+	}()
+	got, from, err = s.GetOrDo(ctx, "k2", func() ([]byte, error) { return []byte("later"), nil })
+	if err != nil || string(got) != "later" || from != cache.Led {
+		t.Fatalf("request after a panicked leader: %q, origin %v, err %v; want its own dispatch", got, from, err)
 	}
 }
 
@@ -202,7 +236,7 @@ func TestStoreWaiterCtxStopsWait(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		s.getOrDo(context.Background(), "k", func() ([]byte, error) {
+		s.GetOrDo(context.Background(), "k", func() ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("late"), nil
@@ -211,7 +245,7 @@ func TestStoreWaiterCtxStopsWait(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.getOrDo(ctx, "k", func() ([]byte, error) { return nil, errors.New("must not lead") }); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.GetOrDo(ctx, "k", func() ([]byte, error) { return nil, errors.New("must not lead") }); !errors.Is(err, context.Canceled) {
 		t.Errorf("waiter with a cancelled ctx: err %v, want context.Canceled", err)
 	}
 	close(release)

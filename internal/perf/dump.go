@@ -31,20 +31,22 @@ func (c *Counters) Dump() CountersDump {
 
 // CountersFromDump reconstructs a counter file (and a fresh symbol table)
 // from a dump. The restored file reads identically to the dumped one:
-// same symbols in the same registration order, same counts.
+// same symbols in the same registration order, same counts. A dump Dump
+// could not have produced — a repeated symbol, or a matrix of the wrong
+// size (checked, without overflow, before allocating) — is an error.
 func CountersFromDump(d CountersDump) (*Counters, error) {
-	if d.CPUs <= 0 {
-		return nil, fmt.Errorf("perf: dump has %d CPUs", d.CPUs)
+	if d.CPUs <= 0 || len(d.Symbols) > 0 && d.CPUs > len(d.Counts) || len(d.Counts) != len(d.Symbols)*d.CPUs*int(NumEvents) {
+		return nil, fmt.Errorf("perf: dump has %d counts, want %d symbols × %d CPUs × %d events",
+			len(d.Counts), len(d.Symbols), d.CPUs, int(NumEvents))
 	}
 	table := NewSymbolTable()
 	for _, info := range d.Symbols {
+		if table.Lookup(info.Name) != NoSymbol {
+			return nil, fmt.Errorf("perf: dump repeats symbol %q", info.Name)
+		}
 		table.Register(info.Name, info.Bin)
 	}
 	c := NewCounters(table, d.CPUs)
-	if want := len(d.Symbols) * c.stride; len(d.Counts) != want {
-		return nil, fmt.Errorf("perf: dump has %d counts, want %d (%d symbols × %d CPUs × %d events)",
-			len(d.Counts), want, len(d.Symbols), d.CPUs, int(NumEvents))
-	}
 	copy(c.counts, d.Counts)
 	return c, nil
 }

@@ -13,7 +13,7 @@ const sketchSubBuckets = 32
 // a few integer ops, memory is fixed (64 octaves × 32 sub-buckets), and
 // two runs that observe the same value sequence produce bit-identical
 // sketches — the property the result cache and the parallel runner
-// depend on. All fields are exported for gob encoding.
+// depend on. All fields are exported for the result cache's codec.
 type Sketch struct {
 	// Buckets[o*sketchSubBuckets+s] counts values whose highest set bit
 	// is o and whose next five bits are s.
