@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +71,8 @@ const (
 	opCacheFill
 	opCacheInvalidate
 	opCacheFlush
+	opHierAccessRange
+	opCacheTouch
 	numDiffOps
 )
 
@@ -133,10 +137,28 @@ func (r *diffRig) step(i int, b []byte) {
 		if got, want := r.hier[cpu].Access(addr, write), r.rh[cpu].Access(addr, write); got != want {
 			t.Fatalf("op %d: cpu %d Access(%#x, write=%v) = %+v, reference %+v", i, cpu, addr, write, got, want)
 		}
+	case opHierAccessRange:
+		write := b[1]&0x80 != 0
+		size := int(b[1]&0x7f) * 151 // up to ~19 KB, rarely line-aligned, sometimes 0
+		if got, want := r.hier[cpu].AccessRange(addr, size, write), r.rh[cpu].AccessRange(addr, size, write); got != want {
+			t.Fatalf("op %d: cpu %d AccessRange(%#x, %d, write=%v) = %+v, reference %+v", i, cpu, addr, size, write, got, want)
+		}
 	case opCacheLookup:
 		r.cacheLookup(i, ci, line)
 	case opCacheFill:
 		r.cacheFill(i, ci, line)
+	case opCacheTouch:
+		hit, ev, was := c.Touch(line)
+		rhit := rc.Lookup(line)
+		var rev Addr
+		var rwas bool
+		if !rhit {
+			rev, rwas = rc.Fill(line)
+		}
+		if hit != rhit || ev != rev || was != rwas {
+			t.Fatalf("op %d: %d-way Touch(%#x) = (%v, %#x, %v), reference Lookup then Fill (%v, %#x, %v)",
+				i, diffCacheWays[ci], line, hit, ev, was, rhit, rev, rwas)
+		}
 	case opCacheInvalidate:
 		c.Invalidate(line)
 		rc.Invalidate(line)
@@ -154,6 +176,11 @@ func (r *diffRig) step(i int, b []byte) {
 	if got, want := c.HitRate(), rc.HitRate(); got != want {
 		t.Fatalf("op %d: %d-way HitRate() = %v, reference %v", i, diffCacheWays[ci], got, want)
 	}
+	r.sameSets(i, c, rc)
+	h, rh := r.hier[cpu], r.rh[cpu]
+	r.sameSets(i, h.l1, rh.l1)
+	r.sameSets(i, h.l2, rh.l2)
+	r.sameSets(i, h.llc, rh.llc)
 	if got, want := r.dir.Lines(), r.ref.Lines(); got != want {
 		t.Fatalf("op %d: Lines() = %d, reference %d", i, got, want)
 	}
@@ -162,6 +189,31 @@ func (r *diffRig) step(i int, b []byte) {
 	}
 	if got, want := r.tlb.HitRate(), r.rtlb.HitRate(); got != want {
 		t.Fatalf("op %d: TLB HitRate() = %v, reference %v", i, got, want)
+	}
+}
+
+// sameSets checks that every set of c holds the reference's valid lines
+// in its recency order, most recent first, so a state that a result
+// would reveal only many ops later fails at the op that caused it.
+func (r *diffRig) sameSets(i int, c *Cache, rc *refCache) {
+	var validBuf [8]refCacheLine // the rig's caches have at most 8 ways
+	var wantBuf [8]uint32
+	for s, set := range rc.sets {
+		valid := validBuf[:0]
+		for _, l := range set {
+			if l.valid {
+				valid = append(valid, l)
+			}
+		}
+		slices.SortFunc(valid, func(a, b refCacheLine) int { return cmp.Compare(b.lru, a.lru) })
+		want := wantBuf[:len(set)]
+		clear(want)
+		for w, l := range valid {
+			want[w] = uint32(l.tag>>LineShift) + 1
+		}
+		if got := c.tags[s*c.ways : (s+1)*c.ways]; !slices.Equal(got, want) {
+			r.t.Fatalf("op %d: %s set %d tags %v, reference %v", i, c.cfg.Name, s, got, want)
+		}
 	}
 }
 
@@ -228,5 +280,19 @@ func FuzzDenseTables(f *testing.F) {
 	f.Add([]byte{0, 0, opDMAWrite, 0, 3, 255, 255, opOnEvict, 1, 3, 255, 255, opHasCopy, 2, 2, 7, 7})
 	f.Add([]byte{0, 0, opCacheFill, 1, 0, 0, 0, opCacheFill, 1, 0, 8, 0, opCacheLookup, 1, 0, 0, 0,
 		opCacheFill, 1, 0, 16, 0, opCacheInvalidate, 1, 0, 0, 0, opCacheFill, 1, 0, 24, 0})
+	// CPU 1 gains a copy from the directory alone, so its range read
+	// finds valid lines that no cache level holds, among LLC-resident
+	// ones that a fill must evict.
+	f.Add([]byte{0, 0, opHierAccessRange, 0x05, 0, 0, 0, opOnRead, 1, 0, 2, 0, opHierAccessRange, 0x15, 0, 0, 0,
+		opCacheTouch, 2, 0, 0, 0, opCacheTouch, 2, 0, 8, 0, opCacheTouch, 2, 0, 0, 0})
+	// Lines A, B, C and D (offsets 0, 8, 16, 24) share a set at every
+	// level. CPU 0 reads them in turn, re-reading A from L1 in between,
+	// so A is the LLC's least recently used line but L1's most recent.
+	// Then CPU 0 gains line 32 from the directory alone and reads it:
+	// its LLC fill evicts A, which must leave L1 before line 32 fills
+	// it, or L1 loses D instead.
+	f.Add([]byte{63, 0, opHierAccess, 0, 0, 0, 0, opHierAccess, 0, 0, 8, 0, opHierAccess, 0, 0, 0, 0,
+		opHierAccess, 0, 0, 16, 0, opHierAccess, 0, 0, 0, 0, opHierAccess, 0, 0, 24, 0, opHierAccess, 0, 0, 0, 0,
+		opOnRead, 0, 0, 32, 0, opHierAccess, 0, 0, 32, 0, opHierAccess, 0, 0, 24, 0})
 	f.Fuzz(runDiff)
 }

@@ -132,6 +132,7 @@ func TestCacheTagRange(t *testing.T) {
 	for name, op := range map[string]func(){
 		"Lookup":     func() { c.Lookup(beyond) },
 		"Fill":       func() { c.Fill(beyond) },
+		"Touch":      func() { c.Touch(beyond) },
 		"Invalidate": func() { c.Invalidate(beyond) },
 	} {
 		func() {

@@ -4,9 +4,11 @@ import "fmt"
 
 // Reference implementations for the differential tests: the map-based
 // coherence directory, TLB and hierarchy access path that the dense
-// tables replaced, and the tick-LRU cache that the recency-ordered tag
-// arrays replaced. They are kept verbatim in behaviour and must not be
-// optimised; diff_test.go checks the fast paths against them.
+// tables replaced, the line-by-line range walk and lookup-then-fill
+// levels that the page walk and fused touch replaced, and the tick-LRU
+// cache that the recency-ordered tag arrays replaced. They are kept
+// verbatim in behaviour and must not be optimised; diff_test.go checks
+// the fast paths against them.
 
 type refDirectory struct {
 	lines              map[Addr]*refDirLine
@@ -205,6 +207,38 @@ func (h *refHierarchy) Access(addr Addr, write bool) AccessResult {
 		h.dir.OnRead(h.cpu, line)
 	}
 	return res
+}
+
+// AccessRange is the range walk before it went a page at a time: one
+// Access per line.
+func (h *refHierarchy) AccessRange(addr Addr, size int, write bool) RangeResult {
+	var r RangeResult
+	if size <= 0 {
+		return r
+	}
+	first := LineOf(addr)
+	last := LineOf(addr + Addr(size) - 1)
+	for line := first; ; line += LineSize {
+		a := h.Access(line, write)
+		r.Lines++
+		switch a.Level {
+		case LevelL1:
+			r.L1Hits++
+		case LevelL2:
+			r.L2Hits++
+		case LevelLLC:
+			r.LLCHits++
+		case LevelMemory:
+			r.Misses++
+			if a.Remote {
+				r.Remote++
+			}
+		}
+		if line == last {
+			break
+		}
+	}
+	return r
 }
 
 type refCacheLine struct {
