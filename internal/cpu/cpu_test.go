@@ -233,3 +233,28 @@ func TestUncachedCost(t *testing.T) {
 		t.Fatalf("uncached cost = %d, want 400", c)
 	}
 }
+
+// TestActivationAllocs pins one activation (Begin, Instr, Load, Store,
+// Finish) to zero allocations. The two processors take turns, so every
+// run moves the stored lines between them and walks the trace cache,
+// the TLBs and the coherence paths as well as the resident ones.
+func TestActivationAllocs(t *testing.T) {
+	r := newRig(t)
+	const size = 16 << 10
+	src := r.sp.AllocPage(size, "src")
+	dst := r.sp.AllocPage(size, "dst")
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		m := r.m0
+		if i&1 != 0 {
+			m = r.m1
+		}
+		i++
+		m.Begin(r.sym, r.code).Instr(500, 0.2, 0.05).Load(src, size).Store(dst, size).Finish()
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per activation, want 0", allocs)
+	}
+	if r.ctr.Get(0, r.sym, perf.LLCMisses) == 0 || r.ctr.Get(1, r.sym, perf.LLCMisses) == 0 {
+		t.Fatal("no LLC misses: the stored lines never moved between the processors")
+	}
+}

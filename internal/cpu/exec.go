@@ -51,8 +51,7 @@ func (x *Exec) touchCode(code CodeRef) {
 	first := mem.LineOf(code.Base)
 	last := mem.LineOf(code.Base + mem.Addr(hot) - 1)
 	for line := first; ; line += mem.LineSize {
-		if !m.tc.Lookup(line) {
-			m.tc.Fill(line)
+		if hit, _, _ := m.tc.Touch(line); !hit {
 			m.ctr.Add(m.id, x.sym, perf.TCMisses, 1)
 			x.cycles += float64(m.cfg.Penalty.TCMiss)
 		}

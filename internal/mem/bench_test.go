@@ -77,10 +77,11 @@ func BenchmarkAccessRangePingPong64K(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheLookupFill runs the miss-then-fill pattern of the
-// hierarchy on an L2-geometry cache. Even iterations revisit a hot half
-// of the cache, which stays resident and hits deep in its sets; odd
-// iterations stream through new lines, each a miss that evicts.
+// BenchmarkCacheLookupFill runs the hierarchy's per-level step, a Touch
+// that fills on a miss, on an L2-geometry cache. Even iterations revisit
+// a hot half of the cache, which stays resident and hits deep in its
+// sets; odd iterations stream through new lines, each a miss that
+// evicts.
 func BenchmarkCacheLookupFill(b *testing.B) {
 	_, l2, _ := P4XeonMP()
 	c := NewCache(l2)
@@ -93,8 +94,23 @@ func BenchmarkCacheLookupFill(b *testing.B) {
 		if i&1 != 0 {
 			line = stream + n<<LineShift
 		}
-		if !c.Lookup(line) {
-			c.Fill(line)
-		}
+		c.Touch(line)
+	}
+}
+
+// BenchmarkAccessRangeResident64K re-reads a 64 KB buffer on one CPU, the
+// shape of a transmit copy's source: the buffer overflows L1 but stays
+// in L2 and the LLC, so every line misses L1 and hits L2. Unlike
+// BenchmarkAccessRangePingPong64K, whose lines are invalid on every
+// pass, it runs the lookup-and-fill path of lines this CPU holds.
+func BenchmarkAccessRangeResident64K(b *testing.B) {
+	d := NewDirectory(2)
+	l1, l2, llc := P4XeonMP()
+	h := NewHierarchy(0, l1, l2, llc, d)
+	const buf, size = Addr(1 << 24), 64 << 10
+	h.WarmRange(buf, size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.AccessRange(buf, size, false)
 	}
 }

@@ -75,17 +75,27 @@ func (d *Directory) peek(line Addr) *dirLine {
 // entry returns the line's state, creating it. Chunks never move, so the
 // pointer stays valid across later calls.
 func (d *Directory) entry(line Addr) *dirLine {
-	l := d.peek(line)
-	if l == nil {
-		page := int(line >> PageShift)
-		if page >= len(d.chunks) {
-			n := max(page+1, 2*len(d.chunks))
-			d.chunks = append(d.chunks, make([]*dirChunk, n-len(d.chunks))...)
-		}
-		c := new(dirChunk)
-		d.chunks[page] = c
-		l = &c[(line>>LineShift)%linesPerPage]
+	return d.create(&d.chunk(line)[(line>>LineShift)%linesPerPage])
+}
+
+// chunk returns the entries of the line's page, allocating them if the
+// page has none yet.
+func (d *Directory) chunk(line Addr) *dirChunk {
+	page := int(line >> PageShift)
+	if page < len(d.chunks) && d.chunks[page] != nil {
+		return d.chunks[page]
 	}
+	if page >= len(d.chunks) {
+		n := max(page+1, 2*len(d.chunks))
+		d.chunks = append(d.chunks, make([]*dirChunk, n-len(d.chunks))...)
+	}
+	c := new(dirChunk)
+	d.chunks[page] = c
+	return c
+}
+
+// create marks an entry of a present chunk as a tracked line.
+func (d *Directory) create(l *dirLine) *dirLine {
 	if !l.created {
 		l.created = true
 		d.lines++

@@ -78,90 +78,115 @@ func (h *Hierarchy) LLC() *Cache { return h.llc }
 
 // Access performs one access to the line containing addr and returns
 // where it was served from, after updating cache and coherence state.
-// The line's directory entry is fetched once: every access leaves the
-// line tracked (a hit implies it already is), and a fill's LLC eviction
-// only updates other, existing lines.
 func (h *Hierarchy) Access(addr Addr, write bool) AccessResult {
 	line := LineOf(addr)
-	l := h.dir.entry(line)
-	valid := l.hasCopy(h.cpu)
-
-	var res AccessResult
-	switch {
-	case valid && h.l1.Lookup(line):
-		res.Level = LevelL1
-	case valid && h.l2.Lookup(line):
-		res.Level = LevelL2
-		h.fillL1(line)
-	case valid && h.llc.Lookup(line):
-		res.Level = LevelLLC
-		h.fillL2(line)
-		h.fillL1(line)
-	default:
-		res.Level = LevelMemory
-		res.Remote = l.dirtyElsewhere(h.cpu)
-		h.fillLLC(line)
-		h.fillL2(line)
-		h.fillL1(line)
-	}
-
-	if write {
-		l.onWrite(h.cpu)
-	} else if res.Level == LevelMemory {
-		l.onRead(h.cpu)
-	}
-	return res
+	level, remote := h.access(line, h.dir.entry(line), write)
+	return AccessResult{Level: level, Remote: remote}
 }
 
 // AccessRange touches every line in [addr, addr+size) and aggregates the
-// results. Bulk payload copies go through this.
+// results. Bulk payload copies go through this. It walks the range a
+// page at a time, fetching each page's directory chunk once; every line
+// sees the same cache and directory operations as an Access of its own.
 func (h *Hierarchy) AccessRange(addr Addr, size int, write bool) RangeResult {
 	var r RangeResult
 	if size <= 0 {
 		return r
 	}
-	first := LineOf(addr)
+	line := LineOf(addr)
 	last := LineOf(addr + Addr(size) - 1)
-	for line := first; ; line += LineSize {
-		a := h.Access(line, write)
-		r.Lines++
-		switch a.Level {
-		case LevelL1:
-			r.L1Hits++
-		case LevelL2:
-			r.L2Hits++
-		case LevelLLC:
-			r.LLCHits++
-		case LevelMemory:
-			r.Misses++
-			if a.Remote {
-				r.Remote++
+	for {
+		chunk := h.dir.chunk(line)
+		end := min(last, line|(PageSize-LineSize))
+		for ; ; line += LineSize {
+			level, remote := h.access(line, h.dir.create(&chunk[(line>>LineShift)%linesPerPage]), write)
+			switch level {
+			case LevelL1:
+				r.L1Hits++
+			case LevelL2:
+				r.L2Hits++
+			case LevelLLC:
+				r.LLCHits++
+			case LevelMemory:
+				r.Misses++
+				if remote {
+					r.Remote++
+				}
+			}
+			if line == end {
+				break
 			}
 		}
 		if line == last {
 			break
 		}
+		line += LineSize
 	}
+	r.Lines = r.L1Hits + r.L2Hits + r.LLCHits + r.Misses
 	return r
 }
 
-func (h *Hierarchy) fillL1(line Addr) {
-	h.l1.Fill(line)
+// access performs one line access given the line's directory entry l.
+// A hit leaves the line tracked, and an LLC fill's eviction only updates
+// other lines, so l stays the line's entry throughout.
+func (h *Hierarchy) access(line Addr, l *dirLine, write bool) (level Level, remote bool) {
+	level = LevelMemory
+	if l.hasCopy(h.cpu) {
+		level = h.touch(line)
+	}
+	if level == LevelMemory {
+		remote = l.dirtyElsewhere(h.cpu)
+		h.fill(line)
+	}
+	if write {
+		l.onWrite(h.cpu)
+	} else if level == LevelMemory {
+		l.onRead(h.cpu)
+	}
+	return level, remote
 }
 
-func (h *Hierarchy) fillL2(line Addr) {
-	h.l2.Fill(line)
+// touch serves a line this CPU holds a valid copy of from the innermost
+// level that has it. Each level looks the line up and, on a miss, fills
+// it in the same pass before the next level is tried; the levels are
+// independent, so this ends in the state of looking every level up first
+// and filling the inner ones after the hit.
+//
+// A valid copy is LLC-resident unless the directory was updated from
+// outside the hierarchy (OnRead or OnWrite called directly). Such a line
+// is served from memory, where the LLC's victim must leave the inner
+// levels before they take the line, so touch reverts all three touches
+// and leaves the fill to the memory path.
+func (h *Hierarchy) touch(line Addr) Level {
+	hit, ev1, was1 := h.l1.Touch(line)
+	if hit {
+		return LevelL1
+	}
+	hit, ev2, was2 := h.l2.Touch(line)
+	if hit {
+		return LevelL2
+	}
+	hit, ev3, was3 := h.llc.Touch(line)
+	if hit {
+		return LevelLLC
+	}
+	h.l1.untouch(line, ev1, was1)
+	h.l2.untouch(line, ev2, was2)
+	h.llc.untouch(line, ev3, was3)
+	return LevelMemory
 }
 
-func (h *Hierarchy) fillLLC(line Addr) {
-	evicted, wasValid := h.llc.Fill(line)
-	if wasValid {
-		// Inclusive hierarchy: an LLC eviction back-invalidates the inner
-		// levels and surrenders the coherent copy.
+// fill installs a line served from memory at every level. The hierarchy
+// is inclusive: a line the LLC evicts leaves the inner levels too, and
+// its coherent copy is surrendered.
+func (h *Hierarchy) fill(line Addr) {
+	if evicted, wasValid := h.llc.Fill(line); wasValid {
 		h.l2.Invalidate(evicted)
 		h.l1.Invalidate(evicted)
 		h.dir.OnEvict(h.cpu, evicted)
 	}
+	h.l2.Fill(line)
+	h.l1.Fill(line)
 }
 
 // WarmRange installs the range as if previously read, without counting
