@@ -24,15 +24,27 @@ var LatencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60
 // Registry is an ordered list of series. Declare every series before
 // the first scrape; declaration is not safe for concurrent use.
 type Registry struct {
-	series []func(*strings.Builder)
+	series   []func(*strings.Builder)
+	onScrape func()
+	mu       sync.Mutex // one render at a time
 }
+
+// OnScrape sets fn to run at the start of every scrape, before any series
+// renders. Renders run one at a time, so series may read what fn stored:
+// values taken from one snapshot agree with each other.
+func (r *Registry) OnScrape(fn func()) { r.onScrape = fn }
 
 // ServeHTTP renders every series, in declaration order.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
+	r.mu.Lock()
+	if r.onScrape != nil {
+		r.onScrape()
+	}
 	for _, write := range r.series {
 		write(&b)
 	}
+	r.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String())
 }

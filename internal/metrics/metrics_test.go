@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,5 +73,42 @@ build_info{version="v1"} 1
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Errorf("Content-Type %q", ct)
+	}
+}
+
+// TestOnScrapeSnapshot checks that series read one snapshot per scrape:
+// the hook runs once before any series renders, and concurrent scrapes
+// do not overwrite each other's snapshot mid-render.
+func TestOnScrapeSnapshot(t *testing.T) {
+	var r Registry
+	var scrapes, snap uint64
+	r.OnScrape(func() { scrapes++; snap = scrapes })
+	r.CounterFunc("a_total", "First read.", func() uint64 { v := snap; runtime.Gosched(); return v })
+	r.CounterFunc("b_total", "Second read.", func() uint64 { return snap })
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rec := httptest.NewRecorder()
+				r.ServeHTTP(rec, nil)
+				var a, b uint64
+				body := rec.Body.String()
+				for _, line := range strings.Split(body, "\n") {
+					fmt.Sscanf(line, "a_total %d", &a)
+					fmt.Sscanf(line, "b_total %d", &b)
+				}
+				if a == 0 || a != b {
+					t.Errorf("one scrape rendered snapshots %d and %d:\n%s", a, b, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if scrapes != 400 {
+		t.Errorf("hook ran %d times for 400 scrapes", scrapes)
 	}
 }

@@ -577,3 +577,94 @@ func TestOperatorFileDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsScrapeIsOneSnapshot scrapes /metrics in a loop while cells
+// complete, some simulated and some replayed from the journal, and
+// checks that every scrape's cache series agree with each other:
+// misses = disk hits + simulations.
+func TestMetricsScrapeIsOneSnapshot(t *testing.T) {
+	cfg := core.DefaultConfig(core.ModeFull, ttcp.TX, 65536)
+	cfg.WarmupCycles, cfg.MeasureCycles = tinyWarmup, tinyMeasure
+	canned := core.Run(cfg)
+	stub := func(context.Context, core.Config) *core.Result { return canned }
+	body := func(seed int) string { return tinyBody(fmt.Sprintf(`,"seed":%d`, seed)) }
+
+	// Journal the even seeds, so the second server replays them.
+	dir := t.TempDir()
+	const seeds = 32
+	first := cache.New(cache.DefaultMaxBytes, dir)
+	ts := newTestServer(t, Options{Runner: core.NewRunner(1), Cache: first, Run: stub})
+	for seed := 0; seed < seeds; seed += 2 {
+		if code, resp := post(t, ts.URL+"/v1/run", body(seed)); code != http.StatusOK {
+			t.Fatalf("seed %d: status %d (%s)", seed, code, resp)
+		}
+	}
+	ts.Close()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := cache.New(cache.DefaultMaxBytes, dir)
+	t.Cleanup(func() { c.Close() })
+	ts = newTestServer(t, Options{Runner: core.NewRunner(1), Cache: c, Run: stub})
+
+	var wg sync.WaitGroup
+	codes := make(chan int, 2*seeds)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 2*seeds; i += 4 {
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body(i%seeds)))
+				if err != nil {
+					codes <- -1
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes <- resp.StatusCode
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	value := func(exposition, name string) uint64 {
+		for _, line := range strings.Split(exposition, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				var n uint64
+				if _, err := fmt.Sscan(v, &n); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s sample", name)
+		return 0
+	}
+	for scrapes, finished := 0, false; !finished; scrapes++ {
+		select {
+		case <-done:
+			finished = true // one last scrape after every cell completed
+		default:
+		}
+		code, exp := get(t, ts.URL+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics: status %d", code)
+		}
+		misses := value(exp, "affinity_cache_misses_total")
+		diskHits := value(exp, "affinity_cache_disk_hits_total")
+		sims := value(exp, "affinity_sims_total")
+		if misses != diskHits+sims {
+			t.Fatalf("scrape %d: misses %d != disk hits %d + simulations %d", scrapes, misses, diskHits, sims)
+		}
+		if finished && (diskHits == 0 || sims == 0) {
+			t.Fatalf("after every cell: %d disk hits and %d simulations, want some of each", diskHits, sims)
+		}
+	}
+	close(codes)
+	for code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("a cell request got status %d", code)
+		}
+	}
+}
