@@ -162,3 +162,41 @@ func TestLockGrantReapsTaskFinishingInline(t *testing.T) {
 		t.Fatal("the waiter's processor is not idle after the waiter finished")
 	}
 }
+
+// TestDeviceIRQChainAllocatesNothing pins a warm device interrupt taken
+// by a busy processor at zero heap allocations: DeliverInterrupt queues
+// it behind the running activation, whose boundary runs the handler
+// chain (clears, handler cycles, the exit event, the effect) and then
+// boundaryCont resumes the task. The chain's state lives in the
+// processor and its continuations are bound once.
+func TestDeviceIRQChainAllocatesNothing(t *testing.T) {
+	r := newKernel(t, 1, 1)
+	const vec = apic.Vector(0x31)
+	handled := 0
+	r.k.RegisterIRQ(vec, &IRQAction{
+		Proc:   r.proc("irq_test", perf.BinDriver),
+		Build:  func(c *KCPU, x *cpu.Exec) { x.Instr(180, 0.18, 0.03).Uncached(2) },
+		Effect: func(c *KCPU) { handled++ },
+	})
+	s := newStepper(r, 1, func(x *cpu.Exec) { x.Instr(2000, 0.1, 0.01) })
+	c := r.k.CPUs[0]
+	irqStep := func() {
+		if c.IsIdle() {
+			t.Fatal("the processor is idle: the interrupt would not queue")
+		}
+		c.DeliverInterrupt(vec, apic.KindDevice)
+		s.step()
+	}
+	s.step() // the task starts and parks in its first activation
+	irqStep()
+	before, handledBefore := s.n, handled
+	if allocs := testing.AllocsPerRun(1000, irqStep); allocs != 0 {
+		t.Fatalf("%v allocations per interrupt, want 0", allocs)
+	}
+	if got := handled - handledBefore; got != 1001 {
+		t.Fatalf("%d handlers ran for 1001 interrupts", got)
+	}
+	if got := s.n - before; got != 1001 {
+		t.Fatalf("%d activations ran, want one per interrupt (1001)", got)
+	}
+}

@@ -80,11 +80,43 @@ type KCPU struct {
 	rqAddr mem.Addr
 
 	procIdle Proc
+
+	// The interrupt chain in progress (beginIRQChain): the vector whose
+	// handler is executing, the effect it applies when its cycles have
+	// elapsed, and the continuation the chain ends in (nil when no
+	// chain runs). irqPrev and irqEnv are the state and context of the
+	// work-item boundary a chain interrupted, for boundaryResume.
+	irqCur    pendingIRQ
+	irqEffect func(*KCPU)
+	irqDone   func()
+	irqPrev   cpuState
+	irqEnv    *Env
+	// schedNext is the task schedule chose, dispatched when the
+	// context-switch cost has elapsed.
+	schedNext *Task
+
+	// Continuations bound once, in newKCPU, so the events a processor
+	// schedules allocate nothing. What an event needs beyond c is in the
+	// fields above, each of which serves the one such event pending.
+	scheduleFn     func()
+	softirqdIdleFn func()
+	kickFn         func()
+	irqExitFn      func()
+	dispatchFn     func()
+	boundaryFn     func()
+	reschedIPI     func()
 }
 
 func newKCPU(k *Kernel, id int, model *cpu.Model) *KCPU {
 	c := &KCPU{k: k, id: id, Model: model, state: stIdle, lastMM: -1, lastTaskID: -1,
 		irqQ: fifo.New[pendingIRQ](irqQueueCap)}
+	c.scheduleFn = c.schedule
+	c.softirqdIdleFn = c.softirqdIdle
+	c.kickFn = c.kick
+	c.irqExitFn = c.irqExit
+	c.dispatchFn = c.dispatchNext
+	c.boundaryFn = c.boundaryResume
+	c.reschedIPI = func() { k.APIC.SendIPI(id, vectorResched) }
 	c.procIdle = k.NewProc("cpu_idle", perf.BinIdle, 256)
 	c.lastSym = c.procIdle.Sym
 	c.rqAddr = k.Space.Alloc(256, fmt.Sprintf("runqueue%d", id))
@@ -142,16 +174,35 @@ func (c *KCPU) DeliverInterrupt(vec apic.Vector, kind apic.Kind) {
 	if c.state == stIdle {
 		c.leaveIdle()
 		c.state = stIRQ
-		c.beginIRQChain(func() { c.schedule() })
+		c.beginIRQChain(c.scheduleFn)
 	}
 }
 
+// reschedEffect is the reschedule IPI's effect.
+func reschedEffect(c *KCPU) { c.needResched = true }
+
+// timerEffect is the local timer interrupt's effect.
+func timerEffect(c *KCPU) { c.k.timerTickEffect(c) }
+
 // beginIRQChain processes every queued interrupt in order, charging
 // machine clears and handler execution to the timeline, then calls done.
-// It must be entered in engine context.
+// It must be entered in engine context, with no chain running on c:
+// a processor in a chain is busy, so a new interrupt only queues.
 func (c *KCPU) beginIRQChain(done func()) {
+	if c.irqDone != nil {
+		panic(fmt.Sprintf("kern: cpu %d: interrupt chain entered twice", c.id))
+	}
+	c.irqDone = done
+	c.nextIRQ()
+}
+
+// nextIRQ starts the handler of the next queued interrupt, or ends the
+// chain when none is left.
+func (c *KCPU) nextIRQ() {
 	p, ok := c.irqQ.Pop()
 	if !ok {
+		done := c.irqDone
+		c.irqDone = nil
 		done()
 		return
 	}
@@ -189,23 +240,30 @@ func (c *KCPU) beginIRQChain(done func()) {
 		x := c.Model.Begin(c.k.procResched.Sym, c.k.procResched.Code)
 		x.Instr(120, 0.18, 0.03).Overhead(250)
 		handlerCycles = x.Finish()
-		effect = func(c *KCPU) { c.needResched = true }
+		effect = reschedEffect
 		c.lastSym = c.k.procResched.Sym
 	case apic.KindTimer:
 		clearPenalty = c.Model.MachineClear(c.k.procTick.Sym, c.k.Tune.ClearsPerTimer)
 		x := c.Model.Begin(c.k.procTick.Sym, c.k.procTick.Code)
 		x.Instr(300, 0.18, 0.03).Overhead(300).Store(c.rqAddr, 32).Store(c.k.XtimeAddr, 8)
 		handlerCycles = x.Finish()
-		effect = func(c *KCPU) { c.k.timerTickEffect(c) }
+		effect = timerEffect
 	}
 
-	c.k.Eng.After(clearPenalty+handlerCycles, func() {
-		c.k.Trace.IRQExit(c.k.Eng.Now(), c.id, int(p.vec), int(p.kind))
-		if effect != nil {
-			effect(c)
-		}
-		c.beginIRQChain(done)
-	})
+	c.irqCur, c.irqEffect = p, effect
+	c.k.Eng.After(clearPenalty+handlerCycles, c.irqExitFn)
+}
+
+// irqExit is the event that ends a handler: its effect applies, then
+// the chain goes on.
+func (c *KCPU) irqExit() {
+	p, effect := c.irqCur, c.irqEffect
+	c.irqEffect = nil
+	c.k.Trace.IRQExit(c.k.Eng.Now(), c.id, int(p.vec), int(p.kind))
+	if effect != nil {
+		effect(c)
+	}
+	c.nextIRQ()
 }
 
 // RaiseSoftirq marks a bottom-half vector pending on this processor. Top
@@ -258,7 +316,7 @@ func (c *KCPU) softirqdLoop() {
 			}
 		}
 		c.softirqdActive = false
-		c.k.Eng.After(0, c.softirqdIdle)
+		c.k.Eng.After(0, c.softirqdIdleFn)
 		env.co.Park()
 	}
 }
@@ -270,7 +328,7 @@ func (c *KCPU) softirqdLoop() {
 func (c *KCPU) softirqdIdle() {
 	if c.irqQ.Len() > 0 {
 		c.state = stIRQ
-		c.beginIRQChain(c.softirqdIdle)
+		c.beginIRQChain(c.softirqdIdleFn)
 		return
 	}
 	if c.softPend != 0 && c.bhDisable == 0 {
@@ -290,11 +348,21 @@ func (c *KCPU) softirqdIdle() {
 // queued interrupts run first, then boundaryCont.
 func (c *KCPU) boundary(env *Env) {
 	if c.irqQ.Len() > 0 {
-		prev := c.state
+		c.irqPrev, c.irqEnv = c.state, env
 		c.state = stIRQ
-		c.beginIRQChain(func() { c.state = prev; c.boundaryCont(env) })
+		c.beginIRQChain(c.boundaryFn)
 		return
 	}
+	c.boundaryCont(env)
+}
+
+// boundaryResume ends an interrupt chain begun at a work-item boundary:
+// the processor state the chain interrupted returns, and the boundary
+// goes on.
+func (c *KCPU) boundaryResume() {
+	env := c.irqEnv
+	c.irqEnv = nil
+	c.state = c.irqPrev
 	c.boundaryCont(env)
 }
 
@@ -354,7 +422,7 @@ func (c *KCPU) leaveBoundary(env *Env) {
 func (c *KCPU) schedule() {
 	if c.irqQ.Len() > 0 {
 		c.state = stIRQ
-		c.beginIRQChain(c.schedule)
+		c.beginIRQChain(c.scheduleFn)
 		return
 	}
 	if c.softPend != 0 && c.bhDisable == 0 {
@@ -374,7 +442,19 @@ func (c *KCPU) schedule() {
 	x2.Instr(200, 0.12, 0.02).Overhead(300).Store(next.structAddr, 64)
 	cost += x2.Finish()
 	c.lastSym = c.k.procSchedule.Sym
-	c.k.Eng.After(cost, func() { c.dispatch(next) })
+	if c.schedNext != nil {
+		panic(fmt.Sprintf("kern: cpu %d: schedule with a dispatch pending", c.id))
+	}
+	c.schedNext = next
+	c.k.Eng.After(cost, c.dispatchFn)
+}
+
+// dispatchNext is the event that ends a context switch: the task
+// schedule chose takes the processor.
+func (c *KCPU) dispatchNext() {
+	next := c.schedNext
+	c.schedNext = nil
+	c.dispatch(next)
 }
 
 func (c *KCPU) dispatch(next *Task) {

@@ -56,12 +56,10 @@ func (k *Kernel) Wake(t *Task, waker *Env) {
 		if wakerCPU != target && k.Tune.WakeIPI {
 			// Cross-processor wakeup of an idle CPU: reschedule IPI.
 			k.Stats.WakeCrossIdle++
-			k.Eng.After(k.Tune.IPILatencyCycles, func() {
-				k.APIC.SendIPI(target, vectorResched)
-			})
+			k.Eng.After(k.Tune.IPILatencyCycles, c.reschedIPI)
 		} else {
 			k.Stats.WakeSameCPU++
-			k.Eng.After(0, c.kick)
+			k.Eng.After(0, c.kickFn)
 		}
 	case c.state == stTask && wakerCPU != target && k.Tune.PreemptIPI:
 		// The target is running another task on a different processor:
@@ -69,9 +67,7 @@ func (k *Kernel) Wake(t *Task, waker *Env) {
 		// reschedule IPI interrupts whatever the target was executing —
 		// the paper's machine-clear mechanism in the no-affinity mode.
 		k.Stats.WakeCrossBusy++
-		k.Eng.After(k.Tune.IPILatencyCycles, func() {
-			k.APIC.SendIPI(target, vectorResched)
-		})
+		k.Eng.After(k.Tune.IPILatencyCycles, c.reschedIPI)
 	case wakerCPU == target:
 		k.Stats.WakeSameCPU++
 	default:
@@ -166,7 +162,7 @@ func (k *Kernel) balance() {
 		busiest.rq = append(busiest.rq[:i], busiest.rq[i+1:]...)
 		idlest.rq = append(idlest.rq, t)
 		if idlest.state == stIdle {
-			k.Eng.After(0, idlest.kick)
+			k.Eng.After(0, idlest.kickFn)
 		}
 		return
 	}

@@ -168,7 +168,7 @@ func (e *Env) Sleep(wq *WaitQueue) {
 	}
 	c.curr = nil
 	c.state = stSched
-	c.k.Eng.After(0, c.schedule)
+	c.k.Eng.After(0, c.scheduleFn)
 	e.co.Park()
 }
 
@@ -183,7 +183,7 @@ func (e *Env) Yield() {
 	c.curr = nil
 	c.k.enqueueTask(t, c.id)
 	c.state = stSched
-	c.k.Eng.After(0, c.schedule)
+	c.k.Eng.After(0, c.scheduleFn)
 	e.co.Park()
 }
 
@@ -246,7 +246,7 @@ func (k *Kernel) Spawn(name string, startCPU int, affinityMask uint32, body func
 	}
 	k.enqueueTask(t, startCPU)
 	c := k.CPUs[startCPU]
-	k.Eng.After(0, c.kick)
+	k.Eng.After(0, c.kickFn)
 	return t
 }
 

@@ -95,29 +95,6 @@ func (e tagRangeError) Error() string {
 	return fmt.Sprintf("mem: cache %q line %#x beyond the 32-bit tag range", e.cache, e.line)
 }
 
-// Lookup reports whether the line-aligned address is present, updating
-// LRU on hit.
-func (c *Cache) Lookup(line Addr) bool {
-	c.lookups++
-	t, set := c.tagOf(line)
-	for i, v := range set {
-		if v == t {
-			// Move the tag to the front, shifting the more recently
-			// used ways back by one.
-			if i > 0 {
-				copy(set[1:i+1], set[:i])
-				set[0] = t
-			}
-			c.hits++
-			return true
-		}
-		if v == 0 {
-			break
-		}
-	}
-	return false
-}
-
 // Fill installs the line, evicting the LRU way if necessary. It returns
 // the evicted line address and true if a valid line was displaced.
 //
@@ -139,10 +116,10 @@ func (c *Cache) Fill(line Addr) (evicted Addr, wasValid bool) {
 	return Addr(prev-1) << LineShift, true
 }
 
-// Touch is a Lookup that fills the line on a miss, in the one pass of
+// Touch looks the line up and fills it on a miss, in the one pass of
 // Fill: it reports whether the line was present and, on a miss, what
-// the fill evicted. A hit moves the tag to the front exactly as Lookup
-// does, and both count as a lookup.
+// the fill evicted. A hit moves the tag to the front, shifting the more
+// recently used ways back by one; hit or miss counts as a lookup.
 func (c *Cache) Touch(line Addr) (hit bool, evicted Addr, wasValid bool) {
 	c.lookups++
 	t, set := c.tagOf(line)

@@ -5,6 +5,30 @@ import (
 	"testing/quick"
 )
 
+// Lookup reports whether the line-aligned address is present, updating
+// LRU on hit: Touch without the fill. The differential rig and the
+// cache tests read a set through it; the model itself only touches.
+func (c *Cache) Lookup(line Addr) bool {
+	c.lookups++
+	t, set := c.tagOf(line)
+	for i, v := range set {
+		if v == t {
+			// Move the tag to the front, shifting the more recently
+			// used ways back by one.
+			if i > 0 {
+				copy(set[1:i+1], set[:i])
+				set[0] = t
+			}
+			c.hits++
+			return true
+		}
+		if v == 0 {
+			break
+		}
+	}
+	return false
+}
+
 func TestSpaceAllocAlignmentAndNonOverlap(t *testing.T) {
 	s := NewSpace()
 	a := s.Alloc(100, "a")

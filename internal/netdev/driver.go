@@ -37,9 +37,11 @@ type Driver struct {
 	hooks Hooks
 	nics  []*NIC
 
-	// Per-CPU lists of queues/devices with pending work.
-	rxPoll [][]pollEntry
-	txPoll [][]*NIC
+	// Per-CPU lists of queues/devices with pending work, and the spare
+	// list each softirq pass swaps in while it works through the old
+	// one, so the lists keep their storage from pass to pass.
+	rxPoll, rxSpare [][]pollEntry
+	txPoll, txSpare [][]*NIC
 
 	procNetRxAction kern.Proc
 	procCleanRx     kern.Proc
@@ -55,10 +57,12 @@ func NewDriver(k *kern.Kernel, hooks Hooks) *Driver {
 		panic("netdev: all driver hooks are required")
 	}
 	d := &Driver{
-		k:      k,
-		hooks:  hooks,
-		rxPoll: make([][]pollEntry, len(k.CPUs)),
-		txPoll: make([][]*NIC, len(k.CPUs)),
+		k:       k,
+		hooks:   hooks,
+		rxPoll:  make([][]pollEntry, len(k.CPUs)),
+		rxSpare: make([][]pollEntry, len(k.CPUs)),
+		txPoll:  make([][]*NIC, len(k.CPUs)),
+		txSpare: make([][]*NIC, len(k.CPUs)),
 
 		procNetRxAction: k.NewProc("net_rx_action", perf.BinDriver, 768),
 		procCleanRx:     k.NewProc("e1000_clean_rx_irq", perf.BinDriver, 1536),
@@ -166,13 +170,14 @@ func containsEntry(list []pollEntry, n *NIC, q *rxQueue) bool {
 func (d *Driver) netRxAction(env *kern.Env) {
 	id := env.CPU().ID()
 	list := d.rxPoll[id]
-	d.rxPoll[id] = nil
+	d.rxPoll[id], d.rxSpare[id] = d.rxSpare[id], nil
 	env.Run(d.procNetRxAction, func(x *cpu.Exec) {
 		x.Instr(150, 0.2, 0.02)
 	})
 	for _, e := range list {
 		d.cleanRx(env, e.nic, e.q)
 	}
+	d.rxSpare[id] = list[:0]
 }
 
 func (d *Driver) cleanRx(env *kern.Env, n *NIC, q *rxQueue) {
@@ -203,11 +208,12 @@ func (d *Driver) cleanRx(env *kern.Env, n *NIC, q *rxQueue) {
 func (d *Driver) netTxAction(env *kern.Env) {
 	id := env.CPU().ID()
 	list := d.txPoll[id]
-	d.txPoll[id] = nil
+	d.txPoll[id], d.txSpare[id] = d.txSpare[id], nil
 	for _, n := range list {
 		d.cleanTx(env, n)
 		n.rxDrained(env, n.queues[0])
 	}
+	d.txSpare[id] = list[:0]
 }
 
 func (d *Driver) cleanTx(env *kern.Env, n *NIC) {

@@ -102,6 +102,12 @@ type NIC struct {
 	txBusyUntil sim.Time
 	rxBusyUntil sim.Time
 	txActive    bool
+	// txCur is the frame being serialized; the transmit engine is
+	// serial, so txDoneFn, bound once, has at most one event pending.
+	txCur    TxReq
+	txDoneFn func()
+	// wireFree holds idle wire slots (wireSlot) for reuse.
+	wireFree []*wireSlot
 
 	// Frames serialized but whose delivery event has not yet run, per
 	// direction (see WireInFlight).
@@ -129,6 +135,46 @@ type NIC struct {
 	// StallDeferred counts frames parked by a DMA stall.
 	StallDeferred uint64
 	IRQsRaised    uint64
+}
+
+// wireSlot is one frame propagating on the link: toward the SUT, to
+// land in receive queue q, or toward the peer when q is nil. Each event
+// carries its own slot, so delivery is exact in any firing order, and
+// fire is bound once, when the slot is made; a delivered slot returns
+// to its NIC's free list.
+type wireSlot struct {
+	n    *NIC
+	q    *rxQueue
+	f    WireFrame
+	fire func()
+}
+
+// wireSlot takes an idle slot for frame f bound for q.
+func (n *NIC) wireSlot(q *rxQueue, f WireFrame) *wireSlot {
+	var s *wireSlot
+	if k := len(n.wireFree); k > 0 {
+		s = n.wireFree[k-1]
+		n.wireFree = n.wireFree[:k-1]
+	} else {
+		s = &wireSlot{n: n}
+		s.fire = s.deliver
+	}
+	s.q, s.f = q, f
+	return s
+}
+
+// deliver is the event that ends a frame's propagation.
+func (s *wireSlot) deliver() {
+	n, q, f := s.n, s.q, s.f
+	s.q = nil
+	n.wireFree = append(n.wireFree, s)
+	if q == nil {
+		n.txWireInFlight--
+		n.peer.ToPeer(f)
+		return
+	}
+	n.rxWireInFlight--
+	n.dmaFill(q, f)
 }
 
 type stalledFill struct {
@@ -204,6 +250,7 @@ func newNIC(d *Driver, id int, cfg NICConfig) *NIC {
 		n.queues = append(n.queues, q)
 	}
 	n.procISR = n.queues[0].procISR
+	n.txDoneFn = n.txDone
 	return n
 }
 
@@ -390,41 +437,46 @@ func (n *NIC) transmitNext() {
 	}
 	done := start + sim.Time(n.serialCycles(req.Frame.WireBytes()))
 	n.txBusyUntil = done
-	eng.At(done, func() {
-		// Transmit DMA: flush any dirty CPU copies of the payload.
-		if req.Data != 0 && req.Frame.Len > 0 {
-			first := mem.LineOf(req.Data)
-			last := mem.LineOf(req.Data + mem.Addr(req.Frame.Len) - 1)
-			for line := first; ; line += mem.LineSize {
-				n.d.k.Dir.DMARead(line)
-				if line == last {
-					break
-				}
+	n.txCur = req
+	eng.At(done, n.txDoneFn)
+}
+
+// txDone is the event that ends txCur's serialization: the payload is
+// DMA-read, the frame enters the wire toward the peer, and the engine
+// moves on to the next queued frame.
+func (n *NIC) txDone() {
+	req := n.txCur
+	n.txCur = TxReq{}
+	eng := n.eng()
+	// Transmit DMA: flush any dirty CPU copies of the payload.
+	if req.Data != 0 && req.Frame.Len > 0 {
+		first := mem.LineOf(req.Data)
+		last := mem.LineOf(req.Data + mem.Addr(req.Frame.Len) - 1)
+		for line := first; ; line += mem.LineSize {
+			n.d.k.Dir.DMARead(line)
+			if line == last {
+				break
 			}
 		}
-		n.txRing.markDone(req)
-		n.TxFrames++
-		n.TxBytes += uint64(req.Frame.Len)
-		n.d.k.Trace.NICDMA(eng.Now(), n.id, false, req.Frame.Len)
-		if n.peer != nil {
-			if n.dropOnWire(false) {
-				n.WireDrops++
-			} else {
-				f := req.Frame
-				delay := n.cfg.WireLatencyCycles
-				if n.wireFault != nil {
-					delay += n.wireFault.ExtraDelay(eng.Now(), eng.RNG(), false)
-				}
-				n.txWireInFlight++
-				eng.After(delay, func() {
-					n.txWireInFlight--
-					n.peer.ToPeer(f)
-				})
+	}
+	n.txRing.markDone(req)
+	n.TxFrames++
+	n.TxBytes += uint64(req.Frame.Len)
+	n.d.k.Trace.NICDMA(eng.Now(), n.id, false, req.Frame.Len)
+	if n.peer != nil {
+		if n.dropOnWire(false) {
+			n.WireDrops++
+		} else {
+			delay := n.cfg.WireLatencyCycles
+			if n.wireFault != nil {
+				delay += n.wireFault.ExtraDelay(eng.Now(), eng.RNG(), false)
 			}
+			n.txWireInFlight++
+			eng.After(delay, n.wireSlot(nil, req.Frame).fire)
 		}
-		n.maybeRaiseIRQ(n.queues[0])
-		n.transmitNext()
-	})
+	}
+	n.maybeRaiseIRQ(n.queues[0])
+	n.transmitNext()
 }
 
 // WireInFlight reports frames serialized onto the simulated wire (in
@@ -465,10 +517,7 @@ func (n *NIC) InjectFromWire(f WireFrame) {
 	}
 	q := n.queueFor(f.Conn)
 	n.rxWireInFlight++
-	eng.At(done, func() {
-		n.rxWireInFlight--
-		n.dmaFill(q, f)
-	})
+	eng.At(done, n.wireSlot(q, f).fire)
 }
 
 // dropOnWire decides the fate of a frame entering the wire: link-down

@@ -25,6 +25,7 @@ type elapseRec struct {
 // callback order, so two worlds seeded alike stay in lockstep exactly
 // as long as their engines fire the same callbacks in the same order.
 type elapseWorld struct {
+	tb     testing.TB
 	e      *Engine
 	rng    *RNG
 	stop   atomic.Bool
@@ -37,8 +38,8 @@ type elapseWorld struct {
 	settled []bool   // leaf fired or cancelled
 }
 
-func newElapseWorld(seed uint64, inline bool) *elapseWorld {
-	w := &elapseWorld{e: NewEngine(seed), rng: NewRNG(seed), inline: inline}
+func newElapseWorld(tb testing.TB, seed uint64, inline bool) *elapseWorld {
+	w := &elapseWorld{tb: tb, e: NewEngine(seed), rng: NewRNG(seed), inline: inline}
 	w.e.SetTrace(func(t Time, fired uint64) {
 		w.log = append(w.log, elapseRec{kind: 't', t: t, fired: fired})
 	})
@@ -66,7 +67,9 @@ func (w *elapseWorld) spawn(d Cycles) {
 	var fire func()
 	fire = func() {
 		for {
+			w.checkLookahead()
 			d, more := w.step(id)
+			w.checkLookahead()
 			if !more {
 				w.actors--
 				return
@@ -86,9 +89,37 @@ func (w *elapseWorld) leaf(d Cycles) {
 	id := len(w.leaves)
 	w.settled = append(w.settled, false)
 	w.leaves = append(w.leaves, w.e.After(d, func() {
+		w.checkLookahead()
 		w.settled[id] = true
 		w.log = append(w.log, elapseRec{kind: 'l', id: id, t: w.e.Now()})
 	}))
+}
+
+// burst schedules a run of near events and cancels them all, enough
+// dead band events for Cancel to sweep the band: the sweep empties the
+// buckets the look-ahead cache points at. It draws nothing from the
+// world's RNG.
+func (w *elapseWorld) burst() {
+	evs := make([]*Event, 2*compactMinDead)
+	for i := range evs {
+		evs[i] = w.e.After(Cycles(1+i%8), func() { w.tb.Fatal("a cancelled burst event fired") })
+	}
+	for _, ev := range evs {
+		ev.Cancel()
+	}
+}
+
+// checkLookahead is the oracle of the engine's look-ahead cache: while
+// valid, it must hold exactly what a fresh scanBand finds.
+func (w *elapseWorld) checkLookahead() {
+	e := w.e
+	if !e.laValid {
+		return
+	}
+	if t, ok := e.scanBand(); !ok || t != e.laAt {
+		w.tb.Fatalf("now %d: look-ahead cache holds %d, scanBand finds (%d, %v) (bandBase %d, %d stored)",
+			e.now, e.laAt, t, ok, e.bandBase, e.bandCount)
+	}
 }
 
 // step is one actor activation: log it, perform up to three random
@@ -118,6 +149,8 @@ func (w *elapseWorld) step(id int) (Cycles, bool) {
 			w.e.Halt()
 		case x < 70:
 			w.stop.Store(true)
+		case x < 72:
+			w.burst()
 		}
 	}
 	if w.actors > 1 && w.rng.Intn(25) == 0 {
@@ -135,10 +168,12 @@ func elapseState(e *Engine) string {
 // runElapseDiff drives an Elapse-using engine and an After-only engine
 // through one seeded script — Run horizons, SetInterrupt budgets, the
 // stop flag, Halt, cancels, same-cycle and beyond-band events, a final
-// Drain — and fails on the first observable difference. It returns how
-// many events the first engine completed in place.
+// Drain — and fails on the first observable difference, or on a
+// look-ahead cache that disagrees with scanBand at any actor step or
+// leaf in either engine. It returns how many events the first engine
+// completed in place.
 func runElapseDiff(t testing.TB, seed uint64, rounds int) uint64 {
-	a, b := newElapseWorld(seed, true), newElapseWorld(seed, false)
+	a, b := newElapseWorld(t, seed, true), newElapseWorld(t, seed, false)
 	for _, w := range []*elapseWorld{a, b} {
 		w.spawn(0)
 		w.spawn(3)

@@ -190,6 +190,12 @@ type Engine struct {
 	heads     [bandBuckets]int32
 	tails     [bandBuckets]int32
 	bitmap    [bandWords]uint64
+	// laAt caches scanBand's answer while laValid holds: the earliest
+	// occupied bucket's time as scanBand reads it relative to now.
+	// bandPush lowers it; whatever empties a bucket or moves now past
+	// the buckets it read clears laValid.
+	laValid bool
+	laAt    Time
 
 	// Far-future overflow tier: 4-ary min-heap of slots by (at, seq).
 	heap     []int32
@@ -336,6 +342,11 @@ func (e *Engine) bandPush(i int32, t Time) {
 	e.tails[b] = i + 1
 	e.inHeap[i] = false
 	e.bandCount++
+	if e.laValid {
+		if at := e.now + Time((b-int(e.now))&bandMask); at < e.laAt {
+			e.laAt = at
+		}
+	}
 }
 
 func (e *Engine) heapPush(i int32) {
@@ -450,6 +461,7 @@ func (e *Engine) sweepBand() {
 		}
 	}
 	e.bandDead = 0
+	e.laValid = false
 	e.stats.Compactions++
 }
 
@@ -526,10 +538,8 @@ func (e *Engine) Elapse(d Cycles) bool {
 	if e.stop != nil && e.stop.Load() {
 		return false
 	}
-	if e.bandCount > 0 {
-		if first, ok := e.scanBand(); ok && first <= t {
-			return false
-		}
+	if e.bandCount > 0 && e.lookahead() <= t {
+		return false
 	}
 	e.now = t
 	e.seq++
@@ -579,6 +589,17 @@ func (e *Engine) scanBand() (Time, bool) {
 	return 0, false
 }
 
+// lookahead is scanBand through the laAt cache, for a band that holds
+// an event (so the scan finds one). Elapse and next call it once per
+// call; an unchanged band answers in O(1).
+func (e *Engine) lookahead() Time {
+	if !e.laValid {
+		e.laAt, _ = e.scanBand()
+		e.laValid = true
+	}
+	return e.laAt
+}
+
 // advance slides the window to start at t0 (the heap minimum, with the
 // band empty) and migrates every heap event the window now covers into
 // its bucket. Heap pops come out in (at, seq) order, so per-bucket
@@ -586,6 +607,7 @@ func (e *Engine) scanBand() (Time, bool) {
 // larger sequence numbers, so later appends keep the invariant.
 func (e *Engine) advance(t0 Time) {
 	e.bandBase = t0
+	e.laValid = false
 	for len(e.heap) > 0 {
 		i := e.heap[0]
 		// ats[i] >= t0 (t0 is the heap minimum), so the unsigned
@@ -608,9 +630,7 @@ func (e *Engine) advance(t0 Time) {
 // window when the band has drained and the heap holds the future.
 func (e *Engine) next() (Time, bool) {
 	if e.bandCount > 0 {
-		if t, ok := e.scanBand(); ok {
-			return t, true
-		}
+		return e.lookahead(), true
 	}
 	for len(e.heap) > 0 {
 		i := e.heap[0]
@@ -646,6 +666,7 @@ func (e *Engine) drainBucket() {
 		if n == 0 {
 			e.tails[b] = 0
 			e.bitmap[b>>6] &^= 1 << uint(b&63)
+			e.laValid = false
 		}
 		e.bandCount--
 		if e.deads[i] {
@@ -706,6 +727,7 @@ func (e *Engine) Run(until Time) Time {
 	// remaining event is later), so the clock advances to the horizon.
 	if !e.halted && !e.interrupted && e.now < until {
 		e.now = until
+		e.laValid = false
 	}
 	return e.now
 }

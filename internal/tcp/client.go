@@ -22,7 +22,10 @@ type Client struct {
 	rcvNxt       uint64
 	segsSinceAck int
 	delackArmed  bool
-	window       int
+	// delackFn is the delayed-ACK timer's event, bound on first use;
+	// delackArmed keeps at most one pending.
+	delackFn func()
+	window   int
 
 	// opening is set while a client-initiated (active) open is in
 	// flight: the SYN is out and the SUT's SYN|ACK will establish the
@@ -102,13 +105,44 @@ func newClient(st *Stack, conn int, nic *netdev.NIC) *Client {
 // rebound (see live).
 func (c *Client) ToPeer(f netdev.WireFrame) {
 	c.pending++
-	c.st.K.Eng.After(c.st.Cfg.ClientDelayCycles, func() {
-		c.pending--
-		if !c.live() {
-			return
-		}
-		c.handle(f)
-	})
+	c.st.K.Eng.After(c.st.Cfg.ClientDelayCycles, c.st.peerSlot(c, f).fire)
+}
+
+// peerSlot is one frame on its way into a client's processing: the
+// client and the frame. Each event carries its own slot, and fire is
+// bound once, when the slot is made; a delivered slot returns to the
+// stack's free list.
+type peerSlot struct {
+	st   *Stack
+	c    *Client
+	f    netdev.WireFrame
+	fire func()
+}
+
+// peerSlot takes an idle slot for frame f bound for c.
+func (st *Stack) peerSlot(c *Client, f netdev.WireFrame) *peerSlot {
+	var s *peerSlot
+	if k := len(st.peerFree); k > 0 {
+		s = st.peerFree[k-1]
+		st.peerFree = st.peerFree[:k-1]
+	} else {
+		s = &peerSlot{st: st}
+		s.fire = s.deliver
+	}
+	s.c, s.f = c, f
+	return s
+}
+
+// deliver is the event that hands the frame to its client.
+func (s *peerSlot) deliver() {
+	c, f := s.c, s.f
+	s.c = nil
+	s.st.peerFree = append(s.st.peerFree, s)
+	c.pending--
+	if !c.live() {
+		return
+	}
+	c.handle(f)
 }
 
 // live reports whether this client is still the bound far end of its
@@ -169,15 +203,10 @@ func (c *Client) handle(f netdev.WireFrame) {
 			c.sendAck()
 		} else if !c.delackArmed {
 			c.delackArmed = true
-			c.st.K.Eng.After(400_000, func() { // 200 µs delayed ACK
-				c.delackArmed = false
-				if !c.live() {
-					return
-				}
-				if c.segsSinceAck > 0 {
-					c.sendAck()
-				}
-			})
+			if c.delackFn == nil {
+				c.delackFn = c.delack
+			}
+			c.st.K.Eng.After(400_000, c.delackFn) // 200 µs delayed ACK
 		}
 	}
 	if f.Flags&netdev.FlagAck != 0 {
@@ -213,6 +242,17 @@ func (c *Client) handle(f netdev.WireFrame) {
 		c.pump()
 	}
 	c.armWatchdog()
+}
+
+// delack is the delayed-ACK timer's event.
+func (c *Client) delack() {
+	c.delackArmed = false
+	if !c.live() {
+		return
+	}
+	if c.segsSinceAck > 0 {
+		c.sendAck()
+	}
 }
 
 // armWatchdog schedules a retransmission timeout for the client source:

@@ -88,6 +88,8 @@ type Stack struct {
 	arena      sockArena
 	connSock   []Handle
 	connClient []*Client
+	// peerFree holds idle client-delivery slots (peerSlot) for reuse.
+	peerFree []*peerSlot
 
 	// released aggregates per-connection counters of churned (Released)
 	// connections; releasedClient their far-end clients'.

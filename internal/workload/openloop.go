@@ -33,6 +33,9 @@ type OpenLoop struct {
 	m    *Machine
 	lst  *tcp.Listener
 	lat  *stats.Sketch
+	// arriveFn is arrive, bound once in Launch: the arrival chain keeps
+	// one event pending.
+	arriveFn func()
 
 	// Per-connection request/response sizes (drawn at arrival; the
 	// accepting worker looks its connection's sizes up by id) and
@@ -105,7 +108,8 @@ func (w *OpenLoop) Launch(m *Machine) {
 				}
 			})
 	}
-	m.Eng.At(sim.Time(1000), w.arrive)
+	w.arriveFn = w.arrive
+	m.Eng.At(sim.Time(1000), w.arriveFn)
 }
 
 // arrive generates one connection and schedules the next arrival. All
@@ -170,7 +174,7 @@ func (w *OpenLoop) arrive() {
 	})
 
 	if int(w.generated) < w.spec.Conns {
-		m.Eng.After(w.nextGap(rng), w.arrive)
+		m.Eng.After(w.nextGap(rng), w.arriveFn)
 	}
 }
 

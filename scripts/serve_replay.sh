@@ -12,7 +12,10 @@ set -euo pipefail
 
 ADDR=${1:-127.0.0.1:18080}
 TMP=$(mktemp -d)
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+# The worker checkpoints its journal into $TMP/cache as it drains after
+# SIGTERM, so the trap waits for it to exit before removing $TMP.
+SERVE_PID=
+trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true; fi; rm -rf "$TMP"' EXIT
 
 go build -o "$TMP/affinity-serve" ./cmd/affinity-serve
 
