@@ -458,4 +458,4 @@ const (
 // "timer,usecs=100" or "adaptive,min=5,max=250,frames=8" — or, with a
 // leading "@", from a JSON config file. Empty selects the legacy
 // throttle (nil). Defaults are applied and the result validated.
-func ParseCoalesce(spec string) (*CoalesceConfig, error) { return core.ParseCoalesce(spec) }
+func ParseCoalesce(spec string) (*CoalesceConfig, error) { return netdev.ParseCoalesce(spec) }

@@ -18,13 +18,16 @@
 //	-cache-dir path      on-disk result journal (default $AFFINITY_CACHE_DIR)
 //	-drain d             shutdown drain budget after SIGINT/SIGTERM (default 30s)
 //	-workload spec       default workload for requests that omit one
-//	                     (core.ParseWorkload syntax, e.g.
-//	                     "openloop,conns=100000"; empty = bulk ttcp)
+//	                     (the README's spec grammar, e.g.
+//	                     "openloop,conns=100000" or @spec.json; empty =
+//	                     bulk ttcp), parsed once at startup
 //	-coalesce spec       default coalescing model for requests that omit
-//	                     one (core.ParseCoalesce syntax, e.g.
-//	                     "adaptive,min=5,max=250"; empty = legacy throttle)
+//	                     one (same grammar, e.g. "adaptive,min=5,max=250";
+//	                     empty = legacy throttle), parsed once at startup
 //	-coord url           affinity-coord base URL to join as a fleet
-//	                     worker (empty = standalone)
+//	                     worker (empty = standalone); a usage error with
+//	                     -workload or -coalesce, since the coordinator
+//	                     keys each cell from its request alone
 //	-advertise url       base URL the coordinator should dial back
 //	                     (default derives http://127.0.0.1:port from
 //	                     -addr)
@@ -83,19 +86,10 @@ func main() {
 		return
 	}
 
-	if *workloadFlag != "" {
-		// Fail fast on a malformed default rather than 400-ing every
-		// future request.
-		if _, err := core.ParseWorkload(*workloadFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-serve:", err)
-			os.Exit(2)
-		}
-	}
-	if *coalesceFlag != "" {
-		if _, err := core.ParseCoalesce(*coalesceFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-serve:", err)
-			os.Exit(2)
-		}
+	def, err := operatorDefaults(*workloadFlag, *coalesceFlag, *coordURL)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "affinity-serve:", err)
+		os.Exit(2)
 	}
 
 	c := cache.New(*cacheBytes, *cacheDir)
@@ -106,8 +100,8 @@ func main() {
 		Timeout:         *timeout,
 		SimBudget:       *simBudget,
 		MaxSimCycles:    *maxSimCycles,
-		DefaultWorkload: *workloadFlag,
-		DefaultCoalesce: *coalesceFlag,
+		DefaultWorkload: def.Workload,
+		DefaultCoalesce: def.Coalesce,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
@@ -160,6 +154,21 @@ func main() {
 	st := c.Stats()
 	fmt.Fprintf(os.Stderr, "affinity-serve: done (sims=%d, hits=%d, coalesced=%d, disk hits=%d, hit ratio %.2f)\n",
 		st.Sims, st.Hits, st.Coalesced, st.DiskHits, st.HitRatio())
+}
+
+// operatorDefaults resolves the -workload and -coalesce defaults once,
+// so a malformed one fails at startup rather than 400-ing every
+// request. A fleet worker (-coord) takes neither: the coordinator keys,
+// stores and journals each cell from its request alone, so a worker's
+// default would file one config's result under another config's key.
+func operatorDefaults(wl, coalesce, coordURL string) (def core.Config, err error) {
+	if coordURL != "" && wl+coalesce != "" {
+		return def, errors.New("-workload and -coalesce defaults cannot be combined with -coord: the coordinator keys each cell from its request alone")
+	}
+	if err = def.ApplySpecs("", wl, coalesce); err != nil {
+		err = errors.Unwrap(err) // the parsers' errors already name their spec
+	}
+	return def, err
 }
 
 func serveWorkers(n int) int {

@@ -20,14 +20,15 @@
 //	                             which can reorder in-flight frames.
 //	-coalesce spec               receive-interrupt coalescing model: a mode
 //	                             (legacy|timer|frames|adaptive) followed by
-//	                             comma-separated key=value pairs, e.g.
+//	                             ",key=value" fields, e.g.
 //	                             "timer,usecs=100" or
 //	                             "adaptive,min=5,max=250,frames=8", or
 //	                             @config.json. Empty keeps the legacy
 //	                             fixed inter-IRQ throttle.
 //	-seed   n                    simulation seed (default 1)
 //	-warmup cycles               warmup window (default 60e6)
-//	-measure cycles              measured window (default 240e6)
+//	-measure cycles              measured window (default 240e6; must be
+//	                             positive)
 //	-seeds   n                   run n consecutive seeds, print mean ± stdev
 //	-workers n                   parallel workers for -seeds (0 = GOMAXPROCS, 1 = serial)
 //	-plan                        print the computed placement plan and exit
@@ -45,8 +46,7 @@
 //	-faults spec                 deterministic fault schedule: semicolon-
 //	                             separated events, each a kind
 //	                             (loss|burst|flap|delay|stall|storm)
-//	                             followed by comma-separated key=value
-//	                             pairs, e.g.
+//	                             followed by ",key=value" fields, e.g.
 //	                             "flap,nic=0,from=1e9,until=1.5e9;loss,rate=0.01",
 //	                             or @file.json for a JSON schedule. The
 //	                             run reports degradation metrics, checks
@@ -59,7 +59,7 @@
 //	-rto-max cycles              retransmission backoff cap (0 = default)
 //	-workload spec               workload selection: a kind
 //	                             (bulk|rpc|openloop) followed by
-//	                             comma-separated key=value pairs, e.g.
+//	                             ",key=value" fields, e.g.
 //	                             "openloop,conns=100000,arrival=pareto",
 //	                             or @spec.json. Empty runs the paper's
 //	                             bulk ttcp workload. The rpc and openloop
@@ -69,6 +69,10 @@
 //	                             (warmup/measure are ignored) and reports
 //	                             churn accounting.
 //
+// The -faults, -workload and -coalesce specs share one grammar, which
+// the README's "Spec grammar" section documents with its number rule,
+// and resolve through core.Config.ApplySpecs like the HTTP API's.
+//
 // The machine shape flags compose with any mode or policy: e.g.
 // "-cpus 4 -mode full" is the §5 4P scaling point, and
 // "-cpus 2 -nics 2 -queues 4 -policy rss" is the §8 receive-side-scaling
@@ -76,6 +80,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -142,8 +147,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "affinity-sim:", err)
 		os.Exit(2)
 	}
-	if *size <= 0 {
-		fmt.Fprintln(os.Stderr, "affinity-sim: size must be positive")
+	if err := checkRun(*size, *measure); err != nil {
+		fmt.Fprintln(os.Stderr, "affinity-sim:", err)
 		os.Exit(2)
 	}
 
@@ -174,36 +179,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "affinity-sim: impossible shape:", err)
 		os.Exit(2)
 	}
-	if *faultsFlag != "" {
-		sched, err := affinity.ParseFaults(*faultsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
-			os.Exit(2)
-		}
-		t := cfg.Topology
-		if err := sched.Validate(len(t.NICs), t.NumCPUs, cfg.WarmupCycles+cfg.MeasureCycles); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
-			os.Exit(2)
-		}
-		if !sched.Empty() {
-			cfg.Faults = sched
-		}
-	}
-	if *workloadFlag != "" {
-		spec, err := affinity.ParseWorkload(*workloadFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
-			os.Exit(2)
-		}
-		cfg.Workload = spec
-	}
-	if *coalesceFlag != "" {
-		co, err := affinity.ParseCoalesce(*coalesceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
-			os.Exit(2)
-		}
-		cfg.Coalesce = co
+	if err := cfg.ApplySpecs(*faultsFlag, *workloadFlag, *coalesceFlag); err != nil {
+		// The parsers' errors already name their spec.
+		fmt.Fprintln(os.Stderr, "affinity-sim:", errors.Unwrap(err))
+		os.Exit(2)
 	}
 	if *planOnly {
 		fmt.Println(plan)
@@ -327,6 +306,15 @@ func main() {
 			fmt.Print(tab.Format())
 		}
 	}
+}
+
+// checkRun rejects a non-positive transaction size and an empty
+// measured window, which has no rates to report.
+func checkRun(size int, measure uint64) error {
+	if size <= 0 || measure == 0 {
+		return fmt.Errorf("-size %d -measure %d: each must be positive", size, measure)
+	}
+	return nil
 }
 
 // topology resolves the machine-shape flags, rejecting a non-positive

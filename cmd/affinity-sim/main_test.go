@@ -27,3 +27,19 @@ func TestTopologyRejectsNonPositiveCounts(t *testing.T) {
 		t.Errorf("default flags give %+v, want the paper's shape", got)
 	}
 }
+
+// An empty measured window (-measure 0) has no rates to report: it is a
+// usage error, not a util=[NaN% NaN%] result, like a non-positive size.
+func TestRunRejectsEmptyWindowAndSize(t *testing.T) {
+	for _, c := range []struct {
+		size    int
+		measure uint64
+	}{{65536, 0}, {0, 240_000_000}, {-1, 240_000_000}} {
+		if err := checkRun(c.size, c.measure); err == nil {
+			t.Errorf("-size %d -measure %d accepted", c.size, c.measure)
+		}
+	}
+	if err := checkRun(1, 1); err != nil {
+		t.Errorf("-size 1 -measure 1: %v", err)
+	}
+}

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/netdev"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 var updateFingerprints = flag.Bool("update-fingerprints", false, "rewrite testdata/fingerprint_golden.txt from this build")
@@ -50,12 +52,12 @@ func goldenConfig(t *testing.T, tp, mode, dir, size, pol, wl, co, f string) core
 		}
 	}
 	if wl != "bulk" {
-		if cfg.Workload, err = core.ParseWorkload(wl); err != nil {
+		if cfg.Workload, err = workload.Parse(wl); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if co != "legacy" {
-		if cfg.Coalesce, err = core.ParseCoalesce(co); err != nil {
+		if cfg.Coalesce, err = netdev.ParseCoalesce(co); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -354,7 +354,7 @@ var (
 func TestFingerprintAllocs(t *testing.T) {
 	adaptive := core.DefaultConfig(core.ModeFull, ttcp.TX, 65536)
 	adaptive.Topology = topo.Uniform(4, 4, 2)
-	co, err := core.ParseCoalesce("adaptive")
+	co, err := netdev.ParseCoalesce("adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ttcp"
+	"repro/internal/workload"
 )
 
 // TestOpenLoopCellBitIdentity100k pins the ISSUE acceptance criterion
@@ -35,7 +36,7 @@ func TestOpenLoopCellBitIdentity100k(t *testing.T) {
 	}
 
 	cfg := core.DefaultConfig(core.ModeFull, ttcp.TX, 65536)
-	ws, err := core.ParseWorkload(fmt.Sprintf("openloop,conns=%d", conns))
+	ws, err := workload.Parse(fmt.Sprintf("openloop,conns=%d", conns))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netdev"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
@@ -26,7 +27,7 @@ func TestReorderCellColdWarmCacheIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Policy = pol
-	co, err := core.ParseCoalesce("timer,usecs=100")
+	co, err := netdev.ParseCoalesce("timer,usecs=100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFingerprintCoalesceAndSteeringSensitivity(t *testing.T) {
 	base := Fingerprint(fpCfg())
 
 	legacy := fpCfg()
-	co, err := core.ParseCoalesce("legacy")
+	co, err := netdev.ParseCoalesce("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestFingerprintCoalesceAndSteeringSensitivity(t *testing.T) {
 	seen := map[string]string{"": base}
 	for _, spec := range []string{"timer,usecs=100", "timer,usecs=50", "frames,frames=8", "adaptive"} {
 		cfg := fpCfg()
-		co, err := core.ParseCoalesce(spec)
+		co, err := netdev.ParseCoalesce(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -576,11 +576,14 @@ var fingerprint = cache.Fingerprint
 // keyIndex maps an expanded cell's single-cell request to its cellKey,
 // so each distinct cell is keyed once per coordinator, not once per
 // request naming it. The key is a pure function of that request:
-// RunRequest.Config reads no file (it refuses "@file" specs), the
-// coordinator applies no operator defaults, and the request a cell
-// forwards resolves on a worker to the key it is stored under
-// (FuzzSweepExpand). The index is bounded like the store and cleared
-// when full; a cleared entry only costs one recomputation.
+// RunRequest.Config reads no file (it refuses "@file" specs), and the
+// request a cell forwards resolves on a worker to the key it is stored
+// under (FuzzSweepExpand). That holds because no fleet member applies
+// an operator default: the coordinator has none, and affinity-serve
+// refuses -workload and -coalesce together with -coord, since a
+// worker's default would fill the cells whose requests leave those
+// specs empty. The index is bounded like the store and cleared when
+// full; a cleared entry only costs one recomputation.
 type keyIndex struct {
 	mu   sync.Mutex
 	max  int

@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 var updateCellShapes = flag.Bool("update-cell-shapes", false, "rewrite testdata/cell_shapes_golden.txt from this build")
@@ -93,12 +95,12 @@ func (s cellShape) config(t *testing.T) Config {
 		}
 	}
 	if s.workload != "bulk" {
-		if cfg.Workload, err = ParseWorkload(s.workload); err != nil {
+		if cfg.Workload, err = workload.Parse(s.workload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s.coalesce != "legacy" {
-		if cfg.Coalesce, err = ParseCoalesce(s.coalesce); err != nil {
+		if cfg.Coalesce, err = netdev.ParseCoalesce(s.coalesce); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -132,14 +132,14 @@ type Config struct {
 	Faults *fault.Schedule
 
 	// Coalesce selects the NICs' interrupt-coalescing model (parse one
-	// with ParseCoalesce). Nil is the legacy fixed per-IRQ throttle the
-	// devices always had, byte-identical to a run before the model was
-	// configurable. Coalescing behaviour flows ONLY through this field,
+	// with netdev.ParseCoalesce, or ApplySpecs). Nil is the legacy fixed
+	// per-IRQ throttle the devices always had, byte-identical to a run
+	// before the model was configurable. Coalescing behaviour flows ONLY through this field,
 	// so the result cache's fingerprint always sees it.
 	Coalesce *netdev.CoalesceConfig
 
 	// Workload selects what runs on the machine (parse one with
-	// ParseWorkload). Nil is the paper's bulk ttcp workload and is
+	// workload.Parse, or ApplySpecs). Nil is the paper's bulk ttcp workload and is
 	// byte-identical to a run before the workload layer existed. The
 	// rpc kind replaces the bulk processes with closed-loop
 	// request/response servers; the openloop kind turns the run into a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/netdev"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
@@ -42,15 +43,6 @@ func ParseDirection(s string) (ttcp.Direction, error) {
 	return 0, fmt.Errorf("unknown direction %q (tx|rx)", s)
 }
 
-// ParseWorkload resolves a workload spec from the shared CLI/HTTP
-// syntax: a kind followed by comma-separated key=value pairs
-// ("openloop,conns=100000,arrival=pareto"), or "@file.json" to load a
-// JSON Spec. CLI flags, the HTTP API and the examples all share this
-// parser. Defaults are applied and the spec validated.
-func ParseWorkload(s string) (*workload.Spec, error) {
-	return workload.Parse(s)
-}
-
 // ParsePolicy resolves a built-in placement policy, accepting the same
 // aliases ParseMode does for the mode-shaped policies (proc, int,
 // interrupt, part) on top of the canonical names
@@ -74,11 +66,49 @@ func ParsePolicy(s string) (topo.PlacementPolicy, error) {
 	return pol, nil
 }
 
-// ParseCoalesce resolves an interrupt-coalescing spec from the shared
-// CLI/HTTP syntax: a mode followed by comma-separated key=value pairs
-// ("timer,usecs=100", "adaptive,min=5,max=250,frames=8"), or
-// "@file.json" to load a JSON netdev.CoalesceConfig. Empty means the
-// legacy throttle (nil). Defaults are applied and the config validated.
-func ParseCoalesce(s string) (*netdev.CoalesceConfig, error) {
-	return netdev.ParseCoalesce(s)
+// FieldError is a failure attributable to one named input: a request's
+// JSON field, or the spec a flag carries.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Field + ": " + e.Err.Error() }
+func (e *FieldError) Unwrap() error { return e.Err }
+
+// ApplySpecs resolves the fault-schedule, workload and coalescing specs
+// (the internal/spec grammar) onto c, after its topology and windows
+// are set: the CLI and the HTTP API both resolve their specs here. An
+// empty spec leaves its field as it is. The fault schedule is validated
+// against c's shape and its WarmupCycles+MeasureCycles horizon, and a
+// schedule with no events is dropped, so it keys as the clean baseline.
+// A failure is a *FieldError naming "faults", "workload" or "coalesce".
+func (c *Config) ApplySpecs(faults, wl, coalesce string) error {
+	if faults != "" {
+		sched, err := fault.Parse(faults)
+		if err == nil {
+			err = sched.Validate(len(c.Topology.NICs), c.Topology.NumCPUs, c.WarmupCycles+c.MeasureCycles)
+		}
+		if err != nil {
+			return &FieldError{Field: "faults", Err: err}
+		}
+		if !sched.Empty() {
+			c.Faults = sched
+		}
+	}
+	if wl != "" {
+		w, err := workload.Parse(wl)
+		if err != nil {
+			return &FieldError{Field: "workload", Err: err}
+		}
+		c.Workload = w
+	}
+	if coalesce != "" {
+		co, err := netdev.ParseCoalesce(coalesce)
+		if err != nil {
+			return &FieldError{Field: "coalesce", Err: err}
+		}
+		c.Coalesce = co
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/netdev"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
 )
@@ -24,7 +25,7 @@ func reorderCell(t *testing.T, policy, coalesce string) Config {
 	}
 	cfg.Policy = pol
 	if coalesce != "" {
-		co, err := ParseCoalesce(coalesce)
+		co, err := netdev.ParseCoalesce(coalesce)
 		if err != nil {
 			t.Fatal(err)
 		}

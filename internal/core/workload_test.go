@@ -10,9 +10,9 @@ import (
 // mustWorkload parses a workload spec or fails the test.
 func mustWorkload(t *testing.T, spec string) *workload.Spec {
 	t.Helper()
-	s, err := ParseWorkload(spec)
+	s, err := workload.Parse(spec)
 	if err != nil {
-		t.Fatalf("ParseWorkload(%q): %v", spec, err)
+		t.Fatalf("workload.Parse(%q): %v", spec, err)
 	}
 	return s
 }

@@ -14,11 +14,10 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Kind names one fault type.
@@ -175,90 +174,42 @@ func (e *Event) validate(numNICs, numCPUs int, horizonCycles uint64) error {
 	return nil
 }
 
-// Parse builds a schedule from a spec string. A spec beginning with
-// "@" names a JSON file holding a Schedule; anything else is the
-// inline form: semicolon-separated events, each a kind followed by
-// comma-separated key=value pairs, e.g.
+// Parse builds a schedule from a spec in the internal/spec grammar:
+// "@file.json" for a JSON Schedule, or inline events separated by
+// semicolons, each a kind followed by ",key=value" fields, e.g.
 //
 //	flap,nic=0,from=1e9,until=1.5e9;loss,rate=0.01
 //
 // Keys: nic, cpu, from, until, rate, bad, penter, pexit, delay,
-// jitter, period. Numbers accept scientific notation (cycle values are
-// truncated to integers). An omitted nic means every NIC. The result
-// is not validated — callers hold the machine shape.
-func Parse(spec string) (*Schedule, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return &Schedule{}, nil
-	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("fault: reading schedule: %w", err)
+// jitter, period. An omitted nic means every NIC (device 0 for a
+// storm). The result is not validated — callers hold the machine
+// shape.
+func Parse(s string) (*Schedule, error) {
+	var sched Schedule
+	if spec.IsFile(s) {
+		if err := spec.ReadFile(s, &sched); err != nil {
+			return nil, fmt.Errorf("fault: %w", err)
 		}
-		var s Schedule
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("fault: parsing %s: %w", spec[1:], err)
-		}
-		return &s, nil
+		return &sched, nil
 	}
-	var s Schedule
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	for _, part := range strings.Split(s, ";") {
+		if strings.TrimSpace(part) == "" {
 			continue
 		}
-		ev, err := parseEvent(part)
+		ev := Event{NIC: -1}
+		kind, err := spec.Inline(part, spec.Keys{
+			"nic": &ev.NIC, "cpu": &ev.CPU, "from": &ev.From, "until": &ev.Until,
+			"rate": &ev.Rate, "bad": &ev.BadRate, "penter": &ev.PEnterBad, "pexit": &ev.PExitBad,
+			"delay": &ev.DelayCycles, "jitter": &ev.JitterCycles, "period": &ev.PeriodCycles,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fault: event %q: %w", part, err)
+			return nil, fmt.Errorf("fault: event %q: %w", strings.TrimSpace(part), err)
 		}
-		s.Events = append(s.Events, ev)
+		ev.Kind = Kind(kind)
+		if ev.Kind == KindStorm && ev.NIC == -1 {
+			ev.NIC = 0
+		}
+		sched.Events = append(sched.Events, ev)
 	}
-	return &s, nil
-}
-
-func parseEvent(part string) (Event, error) {
-	fields := strings.Split(part, ",")
-	ev := Event{Kind: Kind(strings.TrimSpace(fields[0])), NIC: -1}
-	for _, f := range fields[1:] {
-		f = strings.TrimSpace(f)
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return ev, fmt.Errorf("%q is not key=value", f)
-		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return ev, fmt.Errorf("%s: %v", key, err)
-		}
-		switch strings.TrimSpace(key) {
-		case "nic":
-			ev.NIC = int(x)
-		case "cpu":
-			ev.CPU = int(x)
-		case "from":
-			ev.From = uint64(x)
-		case "until":
-			ev.Until = uint64(x)
-		case "rate":
-			ev.Rate = x
-		case "bad":
-			ev.BadRate = x
-		case "penter":
-			ev.PEnterBad = x
-		case "pexit":
-			ev.PExitBad = x
-		case "delay":
-			ev.DelayCycles = uint64(x)
-		case "jitter":
-			ev.JitterCycles = uint64(x)
-		case "period":
-			ev.PeriodCycles = uint64(x)
-		default:
-			return ev, fmt.Errorf("unknown key %q", key)
-		}
-	}
-	if ev.Kind == KindStorm && ev.NIC == -1 {
-		ev.NIC = 0
-	}
-	return ev, nil
+	return &sched, nil
 }

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/apic"
 	"repro/internal/cpu"
@@ -515,8 +516,10 @@ func (c *KCPU) kick() {
 // honouring affinity masks.
 func (c *KCPU) pickNext() *Task {
 	if len(c.rq) > 0 {
+		// Copy down rather than reslice, so the queue's storage keeps
+		// its front and enqueueTask's append stops reallocating.
 		t := c.rq[0]
-		c.rq = c.rq[1:]
+		c.rq = slices.Delete(c.rq, 0, 1)
 		return t
 	}
 	var victim *KCPU
@@ -543,7 +546,7 @@ func (c *KCPU) pickNext() *Task {
 		if t.lastCPU != c.id && now-t.lastRan < decay {
 			continue
 		}
-		victim.rq = append(victim.rq[:i], victim.rq[i+1:]...)
+		victim.rq = slices.Delete(victim.rq, i, i+1)
 		c.k.Stats.Steals++
 		return t
 	}

@@ -9,17 +9,18 @@
 // re-steered flow's old queue drain before the new queue interrupts).
 //
 // Like fault and workload specs, a coalescing setting is declarative
-// construction-time configuration parsed from a small text spec
-// ("mode,usecs=..,frames=.." or @file.json), so the result-cache
-// fingerprint always sees exactly the behaviour a run was given.
+// construction-time configuration parsed from a text spec in the
+// internal/spec grammar ("mode,usecs=..,frames=.." or @file.json), so
+// the result-cache fingerprint always sees exactly the behaviour a run
+// was given.
 package netdev
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Coalescing mode names. The zero value selects legacy.
@@ -91,6 +92,9 @@ func (c *CoalesceConfig) ApplyDefaults() {
 
 // Validate rejects configs the device cannot honour.
 func (c CoalesceConfig) Validate() error {
+	if c.Frames < 0 {
+		return fmt.Errorf("coalesce: negative frames %d", c.Frames)
+	}
 	switch c.Mode {
 	case "", CoalesceLegacy:
 		return nil
@@ -140,9 +144,10 @@ func (c CoalesceConfig) AppendSpec(b []byte) []byte {
 	return b
 }
 
-// ParseCoalesce resolves a coalescing spec: "" for legacy,
-// "@file.json" for a JSON CoalesceConfig, or an inline
-// "mode,key=value,..." like fault and workload specs, e.g.
+// ParseCoalesce resolves a coalescing spec in the internal/spec
+// grammar, shared with fault and workload specs: "" for legacy,
+// "@file.json" for a JSON CoalesceConfig, or an inline mode followed by
+// ",key=value" fields, e.g.
 //
 //	timer,usecs=100
 //	frames,frames=16,usecs=200
@@ -150,50 +155,25 @@ func (c CoalesceConfig) AppendSpec(b []byte) []byte {
 //
 // Defaults are applied and the result validated; a nil return with nil
 // error means the legacy throttle.
-func ParseCoalesce(spec string) (*CoalesceConfig, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
+func ParseCoalesce(s string) (*CoalesceConfig, error) {
+	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var c CoalesceConfig
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
+	if spec.IsFile(s) {
+		if err := spec.ReadFile(s, &c); err != nil {
+			return nil, fmt.Errorf("coalesce: %w", err)
+		}
+	} else {
+		mode, err := spec.Inline(s, spec.Keys{
+			"usecs": &c.Usecs, "frames": &c.Frames,
+			"min": &c.MinUsecs, "min_usecs": &c.MinUsecs,
+			"max": &c.MaxUsecs, "max_usecs": &c.MaxUsecs,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("coalesce: %w", err)
 		}
-		if err := json.Unmarshal(data, &c); err != nil {
-			return nil, fmt.Errorf("coalesce: %s: %w", spec[1:], err)
-		}
-	} else {
-		fields := strings.Split(spec, ",")
-		c.Mode = strings.TrimSpace(fields[0])
-		for _, f := range fields[1:] {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			kv := strings.SplitN(f, "=", 2)
-			if len(kv) != 2 {
-				return nil, fmt.Errorf("coalesce: %q is not key=value", f)
-			}
-			key := strings.TrimSpace(kv[0])
-			val, err := strconv.ParseUint(strings.TrimSpace(kv[1]), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("coalesce: %s: %w", key, err)
-			}
-			switch key {
-			case "usecs":
-				c.Usecs = val
-			case "frames":
-				c.Frames = int(val)
-			case "min", "min_usecs":
-				c.MinUsecs = val
-			case "max", "max_usecs":
-				c.MaxUsecs = val
-			default:
-				return nil, fmt.Errorf("coalesce: unknown key %q (usecs|frames|min|max)", key)
-			}
-		}
+		c.Mode = mode
 	}
 	c.ApplyDefaults()
 	if err := c.Validate(); err != nil {
@@ -201,7 +181,6 @@ func ParseCoalesce(spec string) (*CoalesceConfig, error) {
 	}
 	if c.Legacy() {
 		c.Mode = CoalesceLegacy
-		return &c, nil
 	}
 	return &c, nil
 }

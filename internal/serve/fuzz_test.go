@@ -3,19 +3,24 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 )
 
 // FuzzRunRequestConfig feeds arbitrary bodies through the /v1/run
 // resolution: strict JSON decoding as the handlers do it, then
 // RunRequest.Config. Resolving must never panic; an accepted config
 // must place (PlanFor) and carry a fault schedule valid for its shape
-// and windows; one body must always resolve to one cache key; and no
-// "@file" spec may be accepted, since a parser would open the file.
+// and windows, whose cycle counts are the numbers the spec wrote; one
+// body must always resolve to one cache key; and no "@file" spec may be
+// accepted, since a parser would open the file.
 func FuzzRunRequestConfig(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -32,6 +37,10 @@ func FuzzRunRequestConfig(f *testing.F) {
 		`{"queues":-2}`,
 		// Operator-only file specs.
 		`{"faults":"@/etc/hostname","coalesce":" @x.json"}`,
+		// Cycle counts outside uint64, which once converted to
+		// host-dependent values.
+		`{"faults":"delay,delay=-3"}`,
+		`{"faults":"flap,nic=0,from=1e6,until=1e20"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -63,6 +72,7 @@ func FuzzRunRequestConfig(f *testing.F) {
 			if err := cfg.Faults.Validate(len(tp.NICs), tp.NumCPUs, cfg.WarmupCycles+cfg.MeasureCycles); err != nil {
 				t.Fatalf("accepted %s, but its fault schedule is invalid: %v", body, err)
 			}
+			checkCycleCounts(t, rq.Faults, cfg.Faults.Events)
 		}
 		again, err := resolve()
 		if err != nil {
@@ -72,4 +82,47 @@ func FuzzRunRequestConfig(f *testing.F) {
 			t.Fatalf("%s resolves to two cache keys", body)
 		}
 	})
+}
+
+// checkCycleCounts fails t unless every cycle count written in an
+// accepted inline fault spec is held as written: an integer literal
+// exactly, float notation truncated toward zero. These are the fault
+// spec's only integers Validate does not range-check, and Go leaves a
+// float conversion outside uint64 implementation-defined, so a count
+// that differs here could key differently on another host.
+func checkCycleCounts(t *testing.T, faults string, events []fault.Event) {
+	t.Helper()
+	i := 0
+	for _, part := range strings.Split(faults, ";") {
+		fields := strings.Split(part, ",")
+		if strings.TrimSpace(part) == "" {
+			continue
+		}
+		ev := &events[i]
+		i++
+		held := map[string]uint64{"from": ev.From, "until": ev.Until, "delay": ev.DelayCycles, "jitter": ev.JitterCycles, "period": ev.PeriodCycles}
+		written := map[string]string{}
+		for _, f := range fields[1:] {
+			if key, val, ok := strings.Cut(f, "="); ok {
+				written[strings.ToLower(strings.TrimSpace(key))] = strings.TrimSpace(val)
+			}
+		}
+		for key, got := range held {
+			val, ok := written[key]
+			if !ok {
+				continue
+			}
+			want, ok := new(big.Int).SetString(val, 10)
+			if !ok {
+				x, err := strconv.ParseFloat(val, 64)
+				if err != nil || math.IsInf(x, 0) || math.IsNaN(x) {
+					t.Fatalf("fault spec %q accepted %s=%s as %d", faults, key, val, got)
+				}
+				want, _ = big.NewFloat(x).Int(nil)
+			}
+			if want.Cmp(new(big.Int).SetUint64(got)) != 0 {
+				t.Fatalf("fault spec %q holds %s=%s as %d", faults, key, val, got)
+			}
+		}
+	}
 }

@@ -24,17 +24,18 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/fault"
+	"repro/internal/netdev"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
+	"repro/internal/workload"
 )
 
 // Options configures a Server. The zero value is serviceable: default
@@ -60,17 +61,15 @@ type Options struct {
 	// Version reported by /healthz and /metrics; "" resolves from build
 	// info.
 	Version string
-	// DefaultWorkload is a workload spec (core.ParseWorkload syntax,
-	// including the operator-only "@file.json" form) applied to
-	// requests that leave "workload" empty; "" keeps the bulk default.
-	// Malformed values surface on the first request as a 400, same as
-	// a client-sent spec.
-	DefaultWorkload string
-	// DefaultCoalesce is a coalescing spec (core.ParseCoalesce syntax,
-	// "@file.json" included) applied to requests that leave "coalesce"
-	// empty; "" keeps the legacy throttle. Malformed values surface as
-	// 400s, like DefaultWorkload.
-	DefaultCoalesce string
+	// DefaultWorkload is the workload for requests that leave
+	// "workload" empty; nil keeps the bulk default. The operator parses
+	// it once with workload.Parse, which also reads the operator-only
+	// "@file.json" form, and every such request shares it.
+	DefaultWorkload *workload.Spec
+	// DefaultCoalesce is the coalescing model for requests that leave
+	// "coalesce" empty; nil keeps the legacy throttle. It is parsed once
+	// with netdev.ParseCoalesce, like DefaultWorkload.
+	DefaultCoalesce *netdev.CoalesceConfig
 	// SimBudget is the wall-clock watchdog per simulation: a cell still
 	// running after this long is cooperatively cancelled and reported
 	// aborted, freeing its limiter slot instead of hanging it. 0 leaves
@@ -90,10 +89,10 @@ type Server struct {
 	sem      chan struct{}
 	timeout  time.Duration
 	version  string
-	// defaultWorkload/defaultCoalesce are the operator's specs for
+	// defaultWorkload/defaultCoalesce are the operator's defaults for
 	// requests that leave workload or coalesce empty (withDefaults).
-	defaultWorkload string
-	defaultCoalesce string
+	defaultWorkload *workload.Spec
+	defaultCoalesce *netdev.CoalesceConfig
 	metrics         *workerMetrics
 	engines         engineAgg
 	simBudget       time.Duration
@@ -303,26 +302,18 @@ func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// fieldError is a request-validation failure attributable to one JSON
+// fieldErrf is a request-validation failure attributable to one JSON
 // field; BadRequest surfaces the field name in the error body so
 // clients can map the 400 back to their input.
-type fieldError struct {
-	field string
-	err   error
-}
-
-func (e *fieldError) Error() string { return fmt.Sprintf("%s: %v", e.field, e.err) }
-func (e *fieldError) Unwrap() error { return e.err }
-
 func fieldErrf(field, format string, args ...any) error {
-	return &fieldError{field: field, err: fmt.Errorf(format, args...)}
+	return &core.FieldError{Field: field, Err: fmt.Errorf(format, args...)}
 }
 
 // BadRequest renders a validation error from Config or Expand as a
-// 400. Field-attributable failures carry a "field" key alongside
-// "error".
+// 400. Field-attributable failures (*core.FieldError) carry a "field"
+// key alongside "error".
 func BadRequest(w http.ResponseWriter, err error) {
-	var fe *fieldError
+	var fe *core.FieldError
 	if !errors.As(err, &fe) {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -331,7 +322,7 @@ func BadRequest(w http.ResponseWriter, err error) {
 	w.WriteHeader(http.StatusBadRequest)
 	json.NewEncoder(w).Encode(map[string]string{
 		"error": fe.Error(),
-		"field": fe.field,
+		"field": fe.Field,
 	})
 }
 
@@ -415,21 +406,24 @@ type RunRequest struct {
 	// cycles are not given.
 	Quick bool `json:"quick"`
 
-	// Faults is an inline fault-schedule spec (fault.Parse syntax, e.g.
+	// Faults, Workload and Coalesce are inline specs in the one
+	// internal/spec grammar, resolved by core.Config.ApplySpecs.
+	//
+	// Faults is a fault schedule (fault.Parse, e.g.
 	// "flap,nic=0,from=1e9,until=1.5e9;loss,rate=0.01"), validated
 	// against the machine shape and run horizon. Empty means the clean
 	// baseline.
 	Faults string `json:"faults"`
 
-	// Workload is an inline workload spec (core.ParseWorkload syntax,
-	// e.g. "openloop,conns=100000,arrival=pareto" or "rpc,mix=web").
-	// Empty means the paper's bulk ttcp workload (or the server's
-	// configured default).
+	// Workload is a workload spec (workload.Parse, e.g.
+	// "openloop,conns=100000,arrival=pareto" or "rpc,mix=web"). Empty
+	// means the paper's bulk ttcp workload (or the server's configured
+	// default).
 	Workload string `json:"workload"`
 
-	// Coalesce is an inline interrupt-coalescing spec (core.ParseCoalesce
-	// syntax, e.g. "timer,usecs=100" or "adaptive,min=5,max=250").
-	// Empty means the legacy fixed throttle.
+	// Coalesce is an interrupt-coalescing spec (netdev.ParseCoalesce,
+	// e.g. "timer,usecs=100" or "adaptive,min=5,max=250"). Empty means
+	// the legacy fixed throttle (or the server's configured default).
 	Coalesce string `json:"coalesce"`
 }
 
@@ -441,10 +435,10 @@ func (rq RunRequest) Config() (core.Config, error) {
 	// A leading "@" makes the spec parsers read a file on this host:
 	// operator-only (flags), so a request body's is refused before any
 	// parser runs.
-	for _, f := range []struct{ name, spec string }{
+	for _, f := range []struct{ name, text string }{
 		{"faults", rq.Faults}, {"workload", rq.Workload}, {"coalesce", rq.Coalesce},
 	} {
-		if strings.HasPrefix(strings.TrimSpace(f.spec), "@") {
+		if spec.IsFile(f.text) {
 			return core.Config{}, fieldErrf(f.name, "@file specs are not accepted in requests")
 		}
 	}
@@ -452,7 +446,7 @@ func (rq RunRequest) Config() (core.Config, error) {
 	if rq.Mode != "" {
 		m, err := core.ParseMode(rq.Mode)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "mode", err: err}
+			return core.Config{}, &core.FieldError{Field: "mode", Err: err}
 		}
 		mode = m
 	}
@@ -460,7 +454,7 @@ func (rq RunRequest) Config() (core.Config, error) {
 	if rq.Dir != "" {
 		d, err := core.ParseDirection(rq.Dir)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "dir", err: err}
+			return core.Config{}, &core.FieldError{Field: "dir", Err: err}
 		}
 		dir = d
 	}
@@ -493,14 +487,14 @@ func (rq RunRequest) Config() (core.Config, error) {
 		}
 	}
 	if err := topo.CheckNICs(rq.NICs); err != nil {
-		return core.Config{}, &fieldError{field: "nics", err: err}
+		return core.Config{}, &core.FieldError{Field: "nics", Err: err}
 	}
 	cfg.Topology = topo.Uniform(cmp.Or(rq.CPUs, 2), cmp.Or(rq.NICs, 8), cmp.Or(rq.Queues, 1))
 	cfg.Topology.Conns = rq.Conns
 	if rq.Policy != "" {
 		pol, err := core.ParsePolicy(rq.Policy)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "policy", err: err}
+			return core.Config{}, &core.FieldError{Field: "policy", Err: err}
 		}
 		cfg.Policy = pol
 	}
@@ -509,33 +503,8 @@ func (rq RunRequest) Config() (core.Config, error) {
 	if _, err := core.PlanFor(cfg); err != nil {
 		return core.Config{}, fmt.Errorf("impossible shape: %w", err)
 	}
-	if rq.Faults != "" {
-		sched, err := fault.Parse(rq.Faults)
-		if err != nil {
-			return core.Config{}, &fieldError{field: "faults", err: err}
-		}
-		t := cfg.Topology
-		horizon := cfg.WarmupCycles + cfg.MeasureCycles
-		if err := sched.Validate(len(t.NICs), t.NumCPUs, horizon); err != nil {
-			return core.Config{}, &fieldError{field: "faults", err: err}
-		}
-		if !sched.Empty() {
-			cfg.Faults = sched
-		}
-	}
-	if rq.Workload != "" {
-		spec, err := core.ParseWorkload(rq.Workload)
-		if err != nil {
-			return core.Config{}, &fieldError{field: "workload", err: err}
-		}
-		cfg.Workload = spec
-	}
-	if rq.Coalesce != "" {
-		co, err := core.ParseCoalesce(rq.Coalesce)
-		if err != nil {
-			return core.Config{}, &fieldError{field: "coalesce", err: err}
-		}
-		cfg.Coalesce = co
+	if err := cfg.ApplySpecs(rq.Faults, rq.Workload, rq.Coalesce); err != nil {
+		return core.Config{}, err
 	}
 	return cfg, nil
 }
@@ -559,13 +528,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg, err := rq.Config()
-	if err == nil {
-		err = s.withDefaults(rq, &cfg)
-	}
 	if err != nil {
 		BadRequest(w, err)
 		return
 	}
+	s.withDefaults(rq, &cfg)
 	release := s.acquire(w, r)
 	if release == nil {
 		return
@@ -604,21 +571,16 @@ func abortReason(res *core.Result) string {
 }
 
 // withDefaults fills the operator's default workload and coalescing
-// specs into cfg where its request left them empty. They resolve here,
-// outside RunRequest.Config, because an operator's spec may name a file
-// (-workload @spec.json), which a request's may not.
-func (s *Server) withDefaults(rq RunRequest, cfg *core.Config) (err error) {
-	if rq.Workload == "" && s.defaultWorkload != "" {
-		if cfg.Workload, err = core.ParseWorkload(s.defaultWorkload); err != nil {
-			return &fieldError{field: "workload", err: err}
-		}
+// model into cfg where its request left them empty. They apply here,
+// outside RunRequest.Config, because a coordinator resolves requests
+// with that method too and must key a cell from its request alone.
+func (s *Server) withDefaults(rq RunRequest, cfg *core.Config) {
+	if rq.Workload == "" && s.defaultWorkload != nil {
+		cfg.Workload = s.defaultWorkload
 	}
-	if rq.Coalesce == "" && s.defaultCoalesce != "" {
-		if cfg.Coalesce, err = core.ParseCoalesce(s.defaultCoalesce); err != nil {
-			return &fieldError{field: "coalesce", err: err}
-		}
+	if rq.Coalesce == "" && s.defaultCoalesce != nil {
+		cfg.Coalesce = s.defaultCoalesce
 	}
-	return nil
 }
 
 // SweepRequest is the JSON body of POST /v1/sweep: a base cell plus the
@@ -658,7 +620,7 @@ func (rq SweepRequest) Expand() ([]SweepCell, error) {
 		for _, ms := range rq.Modes {
 			m, err := core.ParseMode(ms)
 			if err != nil {
-				return nil, &fieldError{field: "modes", err: err}
+				return nil, &core.FieldError{Field: "modes", Err: err}
 			}
 			modes = append(modes, modeCell{ms, m})
 		}
@@ -712,12 +674,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells, err := rq.Expand()
-	for i := 0; err == nil && i < len(cells); i++ {
-		err = s.withDefaults(rq.RunRequest, &cells[i].Cfg)
-	}
 	if err != nil {
 		BadRequest(w, err)
 		return
+	}
+	for i := range cells {
+		s.withDefaults(rq.RunRequest, &cells[i].Cfg)
 	}
 	release := s.acquire(w, r)
 	if release == nil {

@@ -18,7 +18,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/netdev"
 	"repro/internal/ttcp"
+	"repro/internal/workload"
 )
 
 // tiny are the smallest windows that still measure something; every
@@ -552,8 +554,10 @@ func TestAbandonedSweepCancelsUndispatchedCells(t *testing.T) {
 }
 
 // TestOperatorFileDefaults: the operator's -workload/-coalesce defaults
-// may name files even though a request body may not, and a cell run
-// under them is the cell a request spelling the same specs inline gets.
+// may name files even though a request body may not. They are parsed
+// once, before the server starts: with the files deleted, every /v1/run
+// and every /v1/sweep cell still resolves with them, to the cell a
+// request spelling the same specs inline gets.
 func TestOperatorFileDefaults(t *testing.T) {
 	dir := t.TempDir()
 	wl, co := filepath.Join(dir, "workload.json"), filepath.Join(dir, "coalesce.json")
@@ -563,7 +567,20 @@ func TestOperatorFileDefaults(t *testing.T) {
 	if err := os.WriteFile(co, []byte(`{"mode":"timer","usecs":100}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	files := newTestServer(t, Options{DefaultWorkload: "@" + wl, DefaultCoalesce: "@" + co})
+	defWorkload, err := workload.Parse("@" + wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defCoalesce, err := netdev.ParseCoalesce("@" + co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{wl, co} {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := newTestServer(t, Options{DefaultWorkload: defWorkload, DefaultCoalesce: defCoalesce})
 	inline := newTestServer(t, Options{})
 
 	for _, path := range []string{"/v1/run", "/v1/sweep"} {

@@ -1,11 +1,10 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Kind names a built-in workload.
@@ -195,110 +194,47 @@ func (s *Spec) IsDefaultBulk() bool {
 	return (s.Kind == "" || s.Kind == KindBulk) && !s.Alternate
 }
 
-// Parse builds a Spec from the CLI/HTTP syntax — a kind followed by
-// comma-separated key=value pairs, e.g.
+// Parse builds a Spec from a spec in the internal/spec grammar: a kind
+// followed by ",key=value" fields, e.g.
 //
 //	"openloop,conns=100000,interval=40000,arrival=pareto,mix=short"
 //	"bulk,alternate=true"
 //	"rpc,req=384,mix=web"
 //
-// or, with a leading "@", from a JSON spec file (the Spec JSON schema).
+// or, with a leading "@", a JSON spec file (the Spec JSON schema).
 // Defaults are applied and the result validated; keys accept the JSON
 // field names and short aliases (req, rsp, interval, maxinterval,
 // timeout, alt).
-func Parse(spec string) (*Spec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
+func Parse(s string) (*Spec, error) {
+	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("workload: empty spec")
 	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
+	var w Spec
+	if spec.IsFile(s) {
+		if err := spec.ReadFile(s, &w); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+	} else {
+		kind, err := spec.Inline(s, spec.Keys{
+			"alternate": &w.Alternate, "alt": &w.Alternate,
+			"req": &w.ReqBytes, "req_bytes": &w.ReqBytes,
+			"rsp": &w.RspBytes, "rsp_bytes": &w.RspBytes,
+			"mix": &w.Mix, "conns": &w.Conns, "arrival": &w.Arrival, "alpha": &w.Alpha,
+			"interval": &w.IntervalCycles, "interval_cycles": &w.IntervalCycles,
+			"maxinterval": &w.MaxIntervalCycles, "max_interval_cycles": &w.MaxIntervalCycles,
+			"servers": &w.Servers, "backlog": &w.Backlog,
+			"timeout": &w.TimeoutCycles, "timeout_cycles": &w.TimeoutCycles,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("workload: reading spec file: %w", err)
+			return nil, fmt.Errorf("workload: %w", err)
 		}
-		var s Spec
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("workload: parsing spec file %s: %w", spec[1:], err)
-		}
-		s.ApplyDefaults()
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return &s, nil
+		w.Kind = Kind(kind)
 	}
-
-	fields := strings.Split(spec, ",")
-	s := Spec{Kind: Kind(strings.ToLower(strings.TrimSpace(fields[0])))}
-	for _, f := range fields[1:] {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return nil, fmt.Errorf("workload: field %q is not key=value", f)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "alternate", "alt":
-			s.Alternate, err = strconv.ParseBool(val)
-		case "req", "req_bytes":
-			s.ReqBytes, err = parseInt(val)
-		case "rsp", "rsp_bytes":
-			s.RspBytes, err = parseInt(val)
-		case "mix":
-			s.Mix = strings.ToLower(val)
-		case "conns":
-			s.Conns, err = parseInt(val)
-		case "arrival":
-			s.Arrival = strings.ToLower(val)
-		case "interval", "interval_cycles":
-			s.IntervalCycles, err = parseUint(val)
-		case "alpha":
-			s.Alpha, err = strconv.ParseFloat(val, 64)
-		case "maxinterval", "max_interval_cycles":
-			s.MaxIntervalCycles, err = parseUint(val)
-		case "servers":
-			s.Servers, err = parseInt(val)
-		case "backlog":
-			s.Backlog, err = parseInt(val)
-		case "timeout", "timeout_cycles":
-			s.TimeoutCycles, err = parseUint(val)
-		default:
-			return nil, fmt.Errorf("workload: unknown key %q in %q", key, f)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: bad value for %q: %v", key, err)
-		}
-	}
-	s.ApplyDefaults()
-	if err := s.Validate(); err != nil {
+	w.ApplyDefaults()
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
-}
-
-// parseInt and parseUint accept plain integers and float notation
-// (1e9), matching the fault-spec syntax.
-func parseInt(val string) (int, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	return int(f), nil
-}
-
-func parseUint(val string) (uint64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 {
-		return 0, fmt.Errorf("negative value %q", val)
-	}
-	return uint64(f), nil
+	return &w, nil
 }
 
 // mixTable returns the response-size table for the spec's mix. The
