@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"bufio"
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -403,5 +406,64 @@ func TestDiskStoreRoundTripFaulted(t *testing.T) {
 	}
 	if restoredJSON != freshJSON {
 		t.Error("restored faulted JSON differs from the fresh simulation")
+	}
+}
+
+// TestArc1JournalReplaysAsDiscards: testdata/journal_arc1 is a worker
+// journal written before the engine's Stats lost its Cancelled and
+// Compactions counters — a checkpoint of the cells quickCfg(1) and
+// quickCfg(2), then a wal holding quickCfg(3), every payload an arc1
+// Result. Under the current layout no such payload decodes: opening the
+// journal discards every record, a lookup of one of its keys simulates
+// again rather than serving the old bytes, and the checkpoint that
+// follows holds only current-layout payloads.
+func TestArc1JournalReplaysAsDiscards(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{checkpointName, walName} {
+		data, err := os.ReadFile(filepath.Join("testdata", "journal_arc1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFile(filepath.Join(dir, name), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(DefaultMaxBytes, dir)
+	if st := c.Stats(); st.CorruptDiscards != 3 || st.Entries != 0 {
+		t.Fatalf("opened an arc1 journal: %+v, want 3 corrupt discards and nothing resident", st)
+	}
+	want := &core.Result{ElapsedCycles: 7, Bytes: 42}
+	ran := 0
+	got := c.GetOrRun(quickCfg(2), func(core.Config) *core.Result { ran++; return want })
+	if ran != 1 || got != want {
+		t.Fatalf("lookup of an arc1 key served %+v without simulating (runs %d)", got, ran)
+	}
+	if st := c.Stats(); st.Sims != 1 || st.DiskHits != 0 {
+		t.Fatalf("after the lookup: %+v, want 1 sim and no disk hit", st)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(bytes.NewReader(data))
+	n := 0
+	for {
+		fp, payload, err := readRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if fp != Fingerprint(quickCfg(2)) || !bytes.HasPrefix(payload, []byte(resultMagic)) {
+			t.Errorf("checkpoint record %s opens with %q, want the re-simulated cell under %q", fp, payload[:min(4, len(payload))], resultMagic)
+		}
+	}
+	if n != 1 {
+		t.Fatalf("checkpoint holds %d records, want the one re-simulated cell", n)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // layout changes (TestResultCodecLayout pins it), so a record written
 // under another layout never decodes: it reads as corrupt, and the cell
 // recomputes.
-const resultMagic = "arc1"
+const resultMagic = "arc2"
 
 // resultExcluded are the Result fields the codec does not store. Cfg:
 // the fingerprint proves the reader's Config agrees on every

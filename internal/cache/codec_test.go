@@ -206,7 +206,7 @@ func appendLayout(b []byte, t reflect.Type) []byte {
 // records of the old layout read as corrupt instead of misdecoding, and
 // re-pin both values here.
 func TestResultCodecLayout(t *testing.T) {
-	const wantMagic, wantLayout = "arc1", 0xee2a495b
+	const wantMagic, wantLayout = "arc2", 0xf96777bc
 	got := crc32.ChecksumIEEE(appendLayout(nil, resultType))
 	if resultMagic != wantMagic || got != wantLayout {
 		t.Errorf("Result codec layout %#08x under magic %q; pinned %#08x under %q.\nBump resultMagic if the layout changed, then re-pin both.\nlayout: %s",

@@ -216,6 +216,46 @@ func TestFingerprintWorkloadSensitivity(t *testing.T) {
 	}
 }
 
+// TestFingerprintIgnoresInertWorkloadFields: a workload spec field the
+// kind does not read cannot change the simulation, so a parsed spec that
+// sets one keys as its canonical spelling does.
+func TestFingerprintIgnoresInertWorkloadFields(t *testing.T) {
+	key := func(spec string) string {
+		t.Helper()
+		w, err := workload.Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		cfg := fpCfg()
+		cfg.Workload = w
+		return Fingerprint(cfg)
+	}
+	for canonical, spellings := range map[string][]string{
+		"bulk,alt=true": {
+			"bulk,alt=true,req=1,rsp=2,mix=short",
+			"bulk,alt=true,conns=5,arrival=pareto,alpha=3,interval=9,maxinterval=90,servers=2,backlog=4,timeout=7",
+		},
+		"rpc": {
+			"rpc,conns=5,servers=3,alpha=7",
+			"rpc,alt=true,arrival=pareto,interval=9,maxinterval=90,backlog=4,timeout=7",
+		},
+		"rpc,req=512,rsp=16384,mix=fixed": {"rpc,req=512,rsp=16384,mix=fixed,conns=5,alt=true"},
+		"openloop,conns=300":              {"openloop,conns=300,alt=true"},
+	} {
+		want := key(canonical)
+		for _, spec := range spellings {
+			if key(spec) != want {
+				t.Errorf("%q keys apart from %q, though its extra fields are inert", spec, canonical)
+			}
+		}
+	}
+	for _, pair := range [][2]string{{"rpc", "rpc,mix=short"}, {"bulk", "bulk,alt=true"}, {"openloop", "openloop,servers=3"}} {
+		if key(pair[0]) == key(pair[1]) {
+			t.Errorf("%q and %q share a key, though they simulate differently", pair[0], pair[1])
+		}
+	}
+}
+
 func TestCacheableGates(t *testing.T) {
 	if !Cacheable(fpCfg()) {
 		t.Error("plain config should be cacheable")

@@ -536,8 +536,6 @@ func (c *Coordinator) health() HealthResponse {
 		h.Fleet.Engine.Runs += e.Runs
 		h.Fleet.Engine.EventsScheduled += e.EventsScheduled
 		h.Fleet.Engine.EventsFired += e.EventsFired
-		h.Fleet.Engine.EventsCancelled += e.EventsCancelled
-		h.Fleet.Engine.Compactions += e.Compactions
 		if e.MaxPeakPending > h.Fleet.Engine.MaxPeakPending {
 			h.Fleet.Engine.MaxPeakPending = e.MaxPeakPending
 		}

@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/spec"
@@ -147,6 +148,16 @@ func (e *Event) validate(numNICs, numCPUs int, horizonCycles uint64) error {
 		if e.DelayCycles == 0 && e.JitterCycles == 0 {
 			return fmt.Errorf("delay with no delay_cycles or jitter_cycles")
 		}
+		// The draw is uniform in [delay, delay+jitter], so delay+jitter+1
+		// must be a cycle count, and a frame must be able to arrive
+		// within the run.
+		end, carry := bits.Add64(e.DelayCycles, e.JitterCycles, 1)
+		if carry != 0 {
+			return fmt.Errorf("delay %d + jitter %d overflows a cycle count", e.DelayCycles, e.JitterCycles)
+		}
+		if horizonCycles != 0 && end > horizonCycles {
+			return fmt.Errorf("delay %d + jitter %d reaches beyond the %d-cycle run", e.DelayCycles, e.JitterCycles, horizonCycles)
+		}
 	case KindStorm:
 		if e.PeriodCycles == 0 {
 			return fmt.Errorf("storm needs period_cycles > 0")
@@ -196,18 +207,19 @@ func Parse(s string) (*Schedule, error) {
 		if strings.TrimSpace(part) == "" {
 			continue
 		}
-		ev := Event{NIC: -1}
-		kind, err := spec.Inline(part, spec.Keys{
+		// An omitted nic means every NIC, or device 0 for a storm; an
+		// explicit nic=-1 on a storm is left for Validate to refuse.
+		ev := Event{Kind: Kind(spec.Kind(part)), NIC: -1}
+		if ev.Kind == KindStorm {
+			ev.NIC = 0
+		}
+		_, err := spec.Inline(part, spec.Keys{
 			"nic": &ev.NIC, "cpu": &ev.CPU, "from": &ev.From, "until": &ev.Until,
 			"rate": &ev.Rate, "bad": &ev.BadRate, "penter": &ev.PEnterBad, "pexit": &ev.PExitBad,
 			"delay": &ev.DelayCycles, "jitter": &ev.JitterCycles, "period": &ev.PeriodCycles,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fault: event %q: %w", strings.TrimSpace(part), err)
-		}
-		ev.Kind = Kind(kind)
-		if ev.Kind == KindStorm && ev.NIC == -1 {
-			ev.NIC = 0
 		}
 		sched.Events = append(sched.Events, ev)
 	}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,6 +29,10 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{"inverted window", Event{Kind: KindFlap, NIC: 0, From: 10, Until: 5}, "is empty"},
 		{"beyond horizon", Event{Kind: KindFlap, NIC: 0, From: 2000, Until: 3000}, "beyond"},
 		{"delay inert", Event{Kind: KindDelay, NIC: 0}, "no delay_cycles"},
+		{"jitter max", Event{Kind: KindDelay, NIC: -1, JitterCycles: math.MaxUint64}, "overflows"},
+		{"delay+jitter overflow", Event{Kind: KindDelay, NIC: -1, DelayCycles: 10, JitterCycles: math.MaxUint64 - 5}, "overflows"},
+		{"delay at horizon", Event{Kind: KindDelay, NIC: -1, DelayCycles: 1000}, "reaches beyond"},
+		{"delay+jitter at horizon", Event{Kind: KindDelay, NIC: -1, DelayCycles: 600, JitterCycles: 400}, "reaches beyond"},
 		{"storm no period", Event{Kind: KindStorm, NIC: 0, CPU: 0}, "period_cycles"},
 		{"storm cpu range", Event{Kind: KindStorm, NIC: 0, CPU: 7, PeriodCycles: 5}, "cpu 7 outside"},
 		{"storm nic wildcard", Event{Kind: KindStorm, NIC: -1, CPU: 0, PeriodCycles: 5}, "must name one device"},
@@ -51,6 +56,7 @@ func TestValidateAcceptsGoodSchedule(t *testing.T) {
 		{Kind: KindBurst, NIC: 0, PEnterBad: 0.01, PExitBad: 0.3, BadRate: 0.9},
 		{Kind: KindFlap, NIC: 1, From: 100, Until: 200},
 		{Kind: KindDelay, NIC: -1, DelayCycles: 500, JitterCycles: 100},
+		{Kind: KindDelay, NIC: 3, DelayCycles: 600, JitterCycles: 399},
 		{Kind: KindStall, NIC: 2, From: 50, Until: 60},
 		{Kind: KindStorm, NIC: 0, CPU: 3, From: 10, PeriodCycles: 1000},
 	}}
@@ -86,6 +92,45 @@ func TestParseInlineSpec(t *testing.T) {
 	}
 	if s, err := Parse("  "); err != nil || len(s.Events) != 0 {
 		t.Fatalf("blank spec: %v, %+v", err, s)
+	}
+}
+
+// TestParsedSpecsValidate runs inline specs through Parse and Validate
+// as a run does: a jitter whose draw bound overflows, a delay the run
+// cannot outlast and an explicit storm nic=-1 are refused, whatever the
+// horizon, while an omitted storm nic still names device 0.
+func TestParsedSpecsValidate(t *testing.T) {
+	const horizon = 7_000_000
+	for _, c := range []struct {
+		spec    string
+		horizon uint64
+		want    string // substring of the error; "" accepts
+	}{
+		{"delay,jitter=18446744073709551615", horizon, "overflows"},
+		{"delay,jitter=18446744073709551615", 0, "overflows"},
+		{"delay,delay=1,jitter=18446744073709551614", 0, "overflows"},
+		{"delay,delay=1e12", horizon, "reaches beyond"},
+		{"delay,jitter=1e19", horizon, "reaches beyond"},
+		{"delay,delay=4e3,jitter=8e3", horizon, ""},
+		{"storm,cpu=0,period=1e5,nic=-1", horizon, "must name one device"},
+		{"storm,cpu=0,period=1e5", horizon, ""},
+		{"storm,cpu=0,period=1e5,nic=1", horizon, ""},
+	} {
+		s, err := Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.spec, err)
+		}
+		err = s.Validate(2, 4, c.horizon)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%q (horizon %d): %v", c.spec, c.horizon, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%q (horizon %d): error %v, want %q", c.spec, c.horizon, err, c.want)
+		}
+	}
+	s, err := Parse("storm,cpu=0,period=1e5")
+	if err != nil || s.Events[0].NIC != 0 {
+		t.Fatalf("storm without nic: %v, %+v; want device 0", err, s)
 	}
 }
 

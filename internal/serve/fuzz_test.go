@@ -41,6 +41,8 @@ func FuzzRunRequestConfig(f *testing.F) {
 		// host-dependent values.
 		`{"faults":"delay,delay=-3"}`,
 		`{"faults":"flap,nic=0,from=1e6,until=1e20"}`,
+		// A jitter whose draw bound overflows, which once divided by zero.
+		`{"faults":"delay,jitter=18446744073709551615"}`,
 	} {
 		f.Add([]byte(seed))
 	}

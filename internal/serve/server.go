@@ -118,9 +118,7 @@ type engineAgg struct {
 	runs        atomic.Uint64
 	scheduled   atomic.Uint64
 	fired       atomic.Uint64
-	cancelled   atomic.Uint64
 	band        atomic.Uint64
-	compactions atomic.Uint64
 	peakPending atomic.Int64 // max over runs
 }
 
@@ -128,9 +126,7 @@ func (a *engineAgg) add(s sim.Stats) {
 	a.runs.Add(1)
 	a.scheduled.Add(s.Scheduled)
 	a.fired.Add(s.Fired)
-	a.cancelled.Add(s.Cancelled)
 	a.band.Add(s.BandScheduled)
-	a.compactions.Add(s.Compactions)
 	for {
 		cur := a.peakPending.Load()
 		if int64(s.PeakPending) <= cur || a.peakPending.CompareAndSwap(cur, int64(s.PeakPending)) {
@@ -144,10 +140,8 @@ type EngineHealth struct {
 	Runs            uint64  `json:"runs"`
 	EventsScheduled uint64  `json:"events_scheduled"`
 	EventsFired     uint64  `json:"events_fired"`
-	EventsCancelled uint64  `json:"events_cancelled"`
 	MaxPeakPending  int64   `json:"max_peak_pending"`
 	BandShare       float64 `json:"band_share"`
-	Compactions     uint64  `json:"compactions"`
 }
 
 func (a *engineAgg) snapshot() EngineHealth {
@@ -155,9 +149,7 @@ func (a *engineAgg) snapshot() EngineHealth {
 		Runs:            a.runs.Load(),
 		EventsScheduled: a.scheduled.Load(),
 		EventsFired:     a.fired.Load(),
-		EventsCancelled: a.cancelled.Load(),
 		MaxPeakPending:  a.peakPending.Load(),
-		Compactions:     a.compactions.Load(),
 	}
 	if h.EventsScheduled > 0 {
 		h.BandShare = float64(a.band.Load()) / float64(h.EventsScheduled)

@@ -63,39 +63,18 @@ func BenchmarkEngineElapse(b *testing.B) {
 	e.Run(Forever - 1)
 }
 
-// BenchmarkEngineCancelChurn measures the arm/cancel pattern TCP timers
-// produce: events scheduled and cancelled without ever firing, relying on
-// lazy compaction to keep the queue lean.
-func BenchmarkEngineCancelChurn(b *testing.B) {
-	e := NewEngine(1)
-	nop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.At(Time(i)+1_000_000, nop)
-		ev.Cancel()
-		if i%1024 == 1023 {
-			// Let the engine advance and reap anything left.
-			e.Run(Time(i))
-		}
-	}
-}
-
-// BenchmarkEngineMixedChurn interleaves firing, cancelling and
-// rescheduling — the realistic mix on the simulator's hot path.
+// BenchmarkEngineMixedChurn interleaves a short continuation chain with
+// a steady population of longer-range events that fire as no-ops — the
+// realistic mix on the simulator's hot path.
 func BenchmarkEngineMixedChurn(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
-	var pending *Event
+	nop := func() {}
 	var step func()
 	step = func() {
 		n++
-		if pending != nil && n%3 == 0 {
-			pending.Cancel()
-			pending = nil
-		}
 		if n < b.N {
-			pending = e.After(1_000, func() {})
+			e.After(1_000, nop)
 			e.After(Cycles(1+uint64(n%13)), step)
 		}
 	}

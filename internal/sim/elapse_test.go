@@ -32,10 +32,9 @@ type elapseWorld struct {
 	inline bool
 	log    []elapseRec
 
-	fires   []func() // actor continuations, bound once per actor
-	actors  int      // live actors
-	leaves  []*Event // scheduled leaves, by id
-	settled []bool   // leaf fired or cancelled
+	fires  []func() // actor continuations, bound once per actor
+	actors int      // live actors
+	leaves int      // leaves scheduled, the next leaf's id
 }
 
 func newElapseWorld(tb testing.TB, seed uint64, inline bool) *elapseWorld {
@@ -86,27 +85,12 @@ func (w *elapseWorld) spawn(d Cycles) {
 }
 
 func (w *elapseWorld) leaf(d Cycles) {
-	id := len(w.leaves)
-	w.settled = append(w.settled, false)
-	w.leaves = append(w.leaves, w.e.After(d, func() {
+	id := w.leaves
+	w.leaves++
+	w.e.After(d, func() {
 		w.checkLookahead()
-		w.settled[id] = true
 		w.log = append(w.log, elapseRec{kind: 'l', id: id, t: w.e.Now()})
-	}))
-}
-
-// burst schedules a run of near events and cancels them all, enough
-// dead band events for Cancel to sweep the band: the sweep empties the
-// buckets the look-ahead cache points at. It draws nothing from the
-// world's RNG.
-func (w *elapseWorld) burst() {
-	evs := make([]*Event, 2*compactMinDead)
-	for i := range evs {
-		evs[i] = w.e.After(Cycles(1+i%8), func() { w.tb.Fatal("a cancelled burst event fired") })
-	}
-	for _, ev := range evs {
-		ev.Cancel()
-	}
+	})
 }
 
 // checkLookahead is the oracle of the engine's look-ahead cache: while
@@ -130,27 +114,14 @@ func (w *elapseWorld) step(id int) (Cycles, bool) {
 		switch x := w.rng.Intn(100); {
 		case x < 40:
 			w.leaf(w.offset())
-		case x < 60:
-			// Cancel a leaf still pending (a handle is only meaningful
-			// while its event is pending). Dead events left in the band
-			// must stop Elapse the way they would stop the drain.
-			if len(w.leaves) > 0 {
-				i := w.rng.Intn(len(w.leaves))
-				if !w.settled[i] {
-					w.settled[i] = true
-					w.leaves[i].Cancel()
-				}
-			}
-		case x < 66:
+		case x < 46:
 			if w.actors < 12 {
 				w.spawn(w.offset())
 			}
-		case x < 68:
+		case x < 48:
 			w.e.Halt()
-		case x < 70:
+		case x < 50:
 			w.stop.Store(true)
-		case x < 72:
-			w.burst()
 		}
 	}
 	if w.actors > 1 && w.rng.Intn(25) == 0 {
@@ -167,8 +138,7 @@ func elapseState(e *Engine) string {
 
 // runElapseDiff drives an Elapse-using engine and an After-only engine
 // through one seeded script — Run horizons, SetInterrupt budgets, the
-// stop flag, Halt, cancels, same-cycle and beyond-band events, a final
-// Drain — and fails on the first observable difference, or on a
+// stop flag, Halt, same-cycle and beyond-band events, a final Drain — and fails on the first observable difference, or on a
 // look-ahead cache that disagrees with scanBand at any actor step or
 // leaf in either engine. It returns how many events the first engine
 // completed in place.
@@ -316,10 +286,6 @@ func TestElapseRefusesBehindStoredEvent(t *testing.T) {
 	refuses(t, 1000, 10, func(e *Engine) { e.At(105, func() {}) })
 	refuses(t, 1000, 10, func(e *Engine) { e.At(110, func() {}) })
 	refuses(t, 1000, 0, func(e *Engine) { e.At(100, func() {}) })
-}
-
-func TestElapseRefusesBehindCancelledEvent(t *testing.T) {
-	refuses(t, 1000, 10, func(e *Engine) { e.At(105, func() {}).Cancel() })
 }
 
 // TestElapseSucceedsAtTheLimits checks the inclusive edges: a

@@ -59,84 +59,15 @@ const (
 // binary heap, which wins on schedule/fire churn.
 const heapArity = 4
 
-// compactMinDead is the minimum number of cancelled-but-stored events
-// before a compaction sweep of a tier is considered.
-const compactMinDead = 64
-
-// handleChunkLog2 sizes the chunks of the handle arena. Chunks are never
-// reallocated, so *Event pointers stay valid as the arena grows.
-const (
-	handleChunkLog2 = 10
-	handleChunkSize = 1 << handleChunkLog2
-)
-
-// Event is the caller's handle on a scheduled callback: a thin
-// generation-checked wrapper over an arena slot. Events fire in
-// (time, sequence) order so that simultaneous events run in their
-// scheduling order, which keeps runs reproducible.
-//
-// Handles live in a chunked arena recycled slot-for-slot with the event
-// storage, so a handle is only meaningful while its event is pending:
-// use it to Cancel before the event fires, then drop it. The generation
-// check makes Cancel after firing a safe no-op as long as the handle has
-// not been reused by a later schedule.
-type Event struct {
-	at   Time
-	eng  *Engine
-	idx  int32
-	gen  uint32
-	dead bool
-}
-
-// At reports the virtual time this event was scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents a scheduled event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op. The event stays in
-// its tier until it is reached or a compaction sweeps it out; Pending
-// excludes it immediately.
-func (e *Event) Cancel() {
-	if e.dead {
-		return
-	}
-	e.dead = true
-	eng := e.eng
-	if eng == nil || eng.gens[e.idx] != e.gen || eng.deads[e.idx] {
-		return // already fired, reaped, or cancelled through another handle
-	}
-	i := e.idx
-	eng.deads[i] = true
-	eng.live--
-	eng.stats.Cancelled++
-	// Compact lazily: once cancelled events outnumber live ones in a
-	// tier (and there are enough of them to be worth a sweep), rebuild
-	// that tier without them so storage tracks the live population.
-	if eng.inHeap[i] {
-		eng.heapDead++
-		if eng.heapDead >= compactMinDead && eng.heapDead*2 > len(eng.heap) {
-			eng.compactHeap()
-		}
-	} else {
-		eng.bandDead++
-		if eng.bandDead >= compactMinDead && eng.bandDead*2 > eng.bandCount {
-			eng.sweepBand()
-		}
-	}
-}
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.dead }
-
 // Stats are the engine's scheduling counters, for perf attribution.
 // Snapshot them with Engine.Stats; all counters are cumulative over the
 // engine's lifetime.
 type Stats struct {
-	// Scheduled and Fired count events entering and executing;
-	// Cancelled counts events killed before firing.
+	// Scheduled and Fired count events entering and executing. Every
+	// scheduled event fires, so they differ by the events still pending.
 	Scheduled uint64 `json:"scheduled"`
 	Fired     uint64 `json:"fired"`
-	Cancelled uint64 `json:"cancelled"`
-	// PeakPending is the high-water mark of live queued events — the
+	// PeakPending is the high-water mark of queued events — the
 	// arena never shrinks below it, so it is the engine's memory shape.
 	PeakPending int `json:"peak_pending"`
 	// BandScheduled and HeapScheduled split Scheduled by tier: the
@@ -145,9 +76,8 @@ type Stats struct {
 	BandScheduled uint64 `json:"band_scheduled"`
 	HeapScheduled uint64 `json:"heap_scheduled"`
 	// Migrated counts heap events moved into the band as the window
-	// advanced; Compactions counts dead-event sweeps of either tier.
-	Migrated    uint64 `json:"migrated"`
-	Compactions uint64 `json:"compactions"`
+	// advanced.
+	Migrated uint64 `json:"migrated"`
 }
 
 // BandShare is the fraction of scheduled events that took the O(1)
@@ -159,34 +89,29 @@ func (s Stats) BandShare() float64 {
 	return float64(s.BandScheduled) / float64(s.Scheduled)
 }
 
-// Engine is the discrete-event scheduler. It is not safe for concurrent
+// Engine is the discrete-event scheduler. Every scheduled event fires, in
+// (time, sequence) order, so simultaneous events run in their scheduling
+// order, which keeps runs reproducible. It is not safe for concurrent
 // use; the whole simulation runs on a single OS goroutine at a time (the
 // coroutine facility hands control around but never runs two goroutines
 // concurrently). Distinct engines are fully independent, so whole
 // simulations may run concurrently (see internal/core's Runner).
 type Engine struct {
-	now  Time
-	seq  uint64
-	live int // pending live events across both tiers
+	now Time
+	seq uint64
 
 	// Struct-of-arrays event arena, indexed by slot. Slots are recycled
-	// through free; gens counts reuses so stale handles detect their
-	// slot moved on.
-	ats    []Time
-	seqs   []uint64
-	fns    []func()
-	nexts  []int32 // bucket chain link, slot+1 (0 = end)
-	gens   []uint32
-	deads  []bool
-	inHeap []bool
-	free   []int32
-	chunks []*[handleChunkSize]Event // handle arena, 1:1 with slots
+	// through free.
+	ats   []Time
+	seqs  []uint64
+	fns   []func()
+	nexts []int32 // bucket chain link, slot+1 (0 = end)
+	free  []int32
 
 	// Near-horizon band: one-cycle buckets as FIFO chains plus a
 	// two-level occupancy bitmap. heads/tails store slot+1 (0 = empty).
 	bandBase  Time
-	bandCount int // events stored in the band, dead included
-	bandDead  int
+	bandCount int // events stored in the band
 	heads     [bandBuckets]int32
 	tails     [bandBuckets]int32
 	bitmap    [bandWords]uint64
@@ -198,8 +123,7 @@ type Engine struct {
 	laAt    Time
 
 	// Far-future overflow tier: 4-ary min-heap of slots by (at, seq).
-	heap     []int32
-	heapDead int
+	heap []int32
 
 	rng    *RNG
 	fired  uint64
@@ -229,7 +153,7 @@ type Engine struct {
 
 // SetTrace installs a hook invoked before every event executes, with the
 // event's time and the running fired-event count. Diagnostics only; nil
-// disables. The hook must not schedule or cancel events.
+// disables. The hook must not schedule events.
 func (e *Engine) SetTrace(fn func(t Time, fired uint64)) { e.trace = fn }
 
 // NewEngine returns an engine whose clock starts at zero and whose
@@ -273,9 +197,8 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports the number of live events currently queued. Cancelled
-// events awaiting removal are not counted.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports the number of events currently queued.
+func (e *Engine) Pending() int { return e.bandCount + len(e.heap) }
 
 // Stats snapshots the engine's scheduling counters.
 func (e *Engine) Stats() Stats {
@@ -294,8 +217,7 @@ func (e *Engine) slotLess(a, b int32) bool {
 }
 
 // alloc grabs an arena slot, growing the arenas in step when the free
-// list is empty. The handle chunk for a new slot is allocated alongside
-// it, so handle addresses never move.
+// list is empty.
 func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
 		i := e.free[n-1]
@@ -307,26 +229,14 @@ func (e *Engine) alloc() int32 {
 	e.seqs = append(e.seqs, 0)
 	e.fns = append(e.fns, nil)
 	e.nexts = append(e.nexts, 0)
-	e.gens = append(e.gens, 0)
-	e.deads = append(e.deads, false)
-	e.inHeap = append(e.inHeap, false)
-	if int(i)>>handleChunkLog2 == len(e.chunks) {
-		e.chunks = append(e.chunks, new([handleChunkSize]Event))
-	}
 	return i
 }
 
 // freeSlot recycles an arena slot. The callback reference is dropped so
-// the closure (and whatever it captures) can be collected, and the
-// generation is bumped so stale handles turn inert.
+// the closure (and whatever it captures) can be collected.
 func (e *Engine) freeSlot(i int32) {
 	e.fns[i] = nil
-	e.gens[i]++
 	e.free = append(e.free, i)
-}
-
-func (e *Engine) handle(i int32) *Event {
-	return &e.chunks[int(i)>>handleChunkLog2][int(i)&(handleChunkSize-1)]
 }
 
 // bandPush appends slot i to the bucket chain of its exact cycle.
@@ -340,7 +250,6 @@ func (e *Engine) bandPush(i int32, t Time) {
 		e.bitmap[b>>6] |= 1 << uint(b&63)
 	}
 	e.tails[b] = i + 1
-	e.inHeap[i] = false
 	e.bandCount++
 	if e.laValid {
 		if at := e.now + Time((b-int(e.now))&bandMask); at < e.laAt {
@@ -350,7 +259,6 @@ func (e *Engine) bandPush(i int32, t Time) {
 }
 
 func (e *Engine) heapPush(i int32) {
-	e.inHeap[i] = true
 	h := append(e.heap, i)
 	j := len(h) - 1
 	for j > 0 {
@@ -375,7 +283,6 @@ func (e *Engine) heapPop() int32 {
 	if n > 0 {
 		e.heapSiftDown(0, last)
 	}
-	e.inHeap[top] = false
 	return top
 }
 
@@ -407,68 +314,10 @@ func (e *Engine) heapSiftDown(j int, x int32) {
 	h[j] = x
 }
 
-// compactHeap rebuilds the overflow heap without cancelled events,
-// recycling their slots.
-func (e *Engine) compactHeap() {
-	h := e.heap[:0]
-	for _, i := range e.heap {
-		if e.deads[i] {
-			e.inHeap[i] = false
-			e.freeSlot(i)
-			continue
-		}
-		h = append(h, i)
-	}
-	e.heap = h
-	if n := len(h); n > 1 {
-		for j := (n - 2) / heapArity; j >= 0; j-- {
-			e.heapSiftDown(j, h[j])
-		}
-	}
-	e.heapDead = 0
-	e.stats.Compactions++
-}
-
-// sweepBand filters cancelled events out of every bucket chain,
-// preserving chain order, and recycles their slots.
-func (e *Engine) sweepBand() {
-	for w := range e.bitmap {
-		bw := e.bitmap[w]
-		for bw != 0 {
-			b := w<<6 + bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			var head, tail int32
-			for p := e.heads[b]; p != 0; {
-				i := p - 1
-				p = e.nexts[i]
-				if e.deads[i] {
-					e.bandCount--
-					e.freeSlot(i)
-					continue
-				}
-				e.nexts[i] = 0
-				if tail != 0 {
-					e.nexts[tail-1] = i + 1
-				} else {
-					head = i + 1
-				}
-				tail = i + 1
-			}
-			e.heads[b], e.tails[b] = head, tail
-			if head == 0 {
-				e.bitmap[w] &^= 1 << uint(b&63)
-			}
-		}
-	}
-	e.bandDead = 0
-	e.laValid = false
-	e.stats.Compactions++
-}
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is a programming error and panics: it would silently reorder the
 // causality of the simulation.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -476,13 +325,8 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	e.ats[i] = t
 	e.seqs[i] = e.seq
 	e.fns[i] = fn
-	e.deads[i] = false
 	e.seq++
-	e.live++
 	e.stats.Scheduled++
-	if e.live > e.stats.PeakPending {
-		e.stats.PeakPending = e.live
-	}
 	// t >= now >= bandBase, so the unsigned difference is exact.
 	if t-e.bandBase < bandBuckets {
 		e.bandPush(i, t)
@@ -491,18 +335,14 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		e.heapPush(i)
 		e.stats.HeapScheduled++
 	}
-	h := e.handle(i)
-	h.at = t
-	h.eng = e
-	h.idx = i
-	h.gen = e.gens[i]
-	h.dead = false
-	return h
+	if n := e.Pending(); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
+	}
 }
 
 // After schedules fn to run d cycles from now.
-func (e *Engine) After(d Cycles, fn func()) *Event {
-	return e.At(e.now+Time(d), fn)
+func (e *Engine) After(d Cycles, fn func()) {
+	e.At(e.now+Time(d), fn)
 }
 
 // Elapse performs, in place, an event that would be scheduled d cycles
@@ -517,10 +357,8 @@ func (e *Engine) After(d Cycles, fn func()) *Event {
 // in progress and not halted, now+d lies within the run's horizon and
 // the SetInterrupt budget, the stop flag is clear, d and now+d fall in
 // the near-horizon band (so every heap event is later), and no stored band
-// bucket, cancelled events included, lies at or before now+d. A
-// cancelled event the drain would pass over still counts: draining it
-// changes the counts later compaction decisions read. On refusal the
-// caller schedules the event as usual.
+// bucket lies at or before now+d. On refusal the caller schedules the
+// event as usual.
 //
 // The equivalence holds only if nothing runs between the call and the
 // moment the event would fire except the engine's own drain: the caller
@@ -545,8 +383,8 @@ func (e *Engine) Elapse(d Cycles) bool {
 	e.seq++
 	e.stats.Scheduled++
 	e.stats.BandScheduled++
-	if e.live >= e.stats.PeakPending {
-		e.stats.PeakPending = e.live + 1
+	if n := e.Pending(); n >= e.stats.PeakPending {
+		e.stats.PeakPending = n + 1
 	}
 	e.fired++
 	e.elapsed++
@@ -616,11 +454,6 @@ func (e *Engine) advance(t0 Time) {
 			break
 		}
 		e.heapPop()
-		if e.deads[i] {
-			e.heapDead--
-			e.freeSlot(i)
-			continue
-		}
 		e.bandPush(i, e.ats[i])
 		e.stats.Migrated++
 	}
@@ -632,19 +465,12 @@ func (e *Engine) next() (Time, bool) {
 	if e.bandCount > 0 {
 		return e.lookahead(), true
 	}
-	for len(e.heap) > 0 {
-		i := e.heap[0]
-		if e.deads[i] {
-			e.heapPop()
-			e.heapDead--
-			e.freeSlot(i)
-			continue
-		}
-		t0 := e.ats[i]
-		e.advance(t0)
-		return t0, true
+	if len(e.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	t0 := e.ats[e.heap[0]]
+	e.advance(t0)
+	return t0, true
 }
 
 // drainBucket executes every event in now's bucket in one batched pass:
@@ -669,14 +495,8 @@ func (e *Engine) drainBucket() {
 			e.laValid = false
 		}
 		e.bandCount--
-		if e.deads[i] {
-			e.bandDead--
-			e.freeSlot(i)
-			continue
-		}
 		fn := e.fns[i]
 		e.freeSlot(i)
-		e.live--
 		e.fired++
 		if e.trace != nil {
 			e.trace(e.now, e.fired)

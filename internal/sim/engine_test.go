@@ -47,20 +47,6 @@ func TestEngineAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
-	e.Run(100)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
-}
-
 func TestEngineHaltStopsRun(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
@@ -332,105 +318,6 @@ func TestEngineTraceHook(t *testing.T) {
 	}
 }
 
-func TestEnginePendingExcludesCancelled(t *testing.T) {
-	e := NewEngine(1)
-	var evs []*Event
-	for i := 0; i < 10; i++ {
-		evs = append(evs, e.At(Time(10+i), func() {}))
-	}
-	if e.Pending() != 10 {
-		t.Fatalf("Pending = %d, want 10", e.Pending())
-	}
-	for i := 0; i < 4; i++ {
-		evs[i].Cancel()
-	}
-	if e.Pending() != 6 {
-		t.Fatalf("Pending = %d after 4 cancels, want 6 (cancelled events must not count)", e.Pending())
-	}
-	evs[0].Cancel() // double cancel must not double count
-	if e.Pending() != 6 {
-		t.Fatalf("Pending = %d after double cancel, want 6", e.Pending())
-	}
-	e.Run(100)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after run, want 0", e.Pending())
-	}
-	if e.Fired() != 6 {
-		t.Fatalf("Fired = %d, want 6", e.Fired())
-	}
-}
-
-func TestEngineCompactionPreservesOrderAndSkipsDead(t *testing.T) {
-	// Schedule far more events than the compaction threshold, cancel most
-	// of them to force a sweep, and check the survivors still fire in
-	// exact (time, sequence) order.
-	e := NewEngine(1)
-	const n = 1000
-	var fired []int
-	var cancelled []*Event
-	for i := 0; i < n; i++ {
-		i := i
-		ev := e.At(Time(10*i), func() { fired = append(fired, i) })
-		if i%5 != 0 {
-			cancelled = append(cancelled, ev)
-		}
-	}
-	for _, ev := range cancelled {
-		ev.Cancel()
-	}
-	if want := n - len(cancelled); e.Pending() != want {
-		t.Fatalf("Pending = %d, want %d", e.Pending(), want)
-	}
-	e.Run(Forever - 1)
-	if len(fired) != n-len(cancelled) {
-		t.Fatalf("fired %d events, want %d", len(fired), n-len(cancelled))
-	}
-	for j := 1; j < len(fired); j++ {
-		if fired[j] <= fired[j-1] {
-			t.Fatalf("events fired out of order after compaction: %d after %d", fired[j], fired[j-1])
-		}
-	}
-}
-
-func TestEngineCompactionWithNoSurvivors(t *testing.T) {
-	// Cancelling every queued event must compact down to an empty heap
-	// without touching it (regression: heapify over len 0 and 1).
-	e := NewEngine(1)
-	for _, keep := range []int{0, 1} {
-		var evs []*Event
-		for i := 0; i < 500; i++ {
-			evs = append(evs, e.At(e.Now()+Time(10+i), func() {}))
-		}
-		for _, ev := range evs[keep:] {
-			ev.Cancel()
-		}
-		if e.Pending() != keep {
-			t.Fatalf("Pending = %d, want %d", e.Pending(), keep)
-		}
-		before := e.Fired()
-		e.Run(e.Now() + 1000)
-		if got := e.Fired() - before; got != uint64(keep) {
-			t.Fatalf("fired %d events, want %d", got, keep)
-		}
-	}
-}
-
-func TestEngineCancelDuringRun(t *testing.T) {
-	// An event callback cancelling a later pending event must suppress it.
-	e := NewEngine(1)
-	var victim *Event
-	fired := false
-	victim = e.At(20, func() { fired = true })
-	e.At(10, func() { victim.Cancel() })
-	e.Run(100)
-	if fired {
-		t.Fatal("event cancelled mid-run still fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", e.Pending())
-	}
-}
-
 func TestEngineEventRecyclingKeepsDeterminism(t *testing.T) {
 	// Heavy schedule/fire churn cycles events through the free list; the
 	// (time, seq) order must stay exact.
@@ -495,11 +382,10 @@ func TestEngineDrainRunsEverything(t *testing.T) {
 	n := 0
 	e.At(10, func() { n++ })
 	e.At(5_000_000_000, func() { n++ })
-	ev := e.At(100, func() { n++ })
-	ev.Cancel()
+	e.At(100, func() { n++ })
 	e.Drain()
-	if n != 2 {
-		t.Fatalf("drain ran %d events, want 2 (cancelled skipped)", n)
+	if n != 3 {
+		t.Fatalf("drain ran %d events, want 3", n)
 	}
 	if e.Pending() != 0 {
 		t.Fatal("queue not empty after drain")
@@ -507,8 +393,8 @@ func TestEngineDrainRunsEverything(t *testing.T) {
 }
 
 // TestEngineTraceOrdering pins the SetTrace contract: the hook observes
-// strictly monotone (time, fired) pairs, fired counts exactly the events
-// that executed, and cancelled events never reach the hook.
+// monotone (time, fired) pairs, once per executed event, and fired
+// counts exactly the events that executed.
 func TestEngineTraceOrdering(t *testing.T) {
 	e := NewEngine(1)
 	type obs struct {
@@ -518,25 +404,16 @@ func TestEngineTraceOrdering(t *testing.T) {
 	var seen []obs
 	e.SetTrace(func(at Time, fired uint64) { seen = append(seen, obs{at, fired}) })
 
-	var cancelled *Event
 	executed := 0
 	for i := 0; i < 20; i++ {
-		at := Time(10 * (i + 1))
-		ev := e.At(at, func() { executed++ })
-		if i == 7 {
-			cancelled = ev
-		}
-		if i == 13 {
-			ev.Cancel()
-		}
+		e.At(Time(10*(i+1)), func() { executed++ })
 	}
-	cancelled.Cancel()
 	// Same-time events must still trace in schedule order.
 	e.At(50, func() { executed++ })
 	e.Run(10_000)
 
-	if executed != 19 {
-		t.Fatalf("executed %d events, want 19", executed)
+	if executed != 21 {
+		t.Fatalf("executed %d events, want 21", executed)
 	}
 	if len(seen) != executed {
 		t.Fatalf("hook called %d times for %d executed events", len(seen), executed)
@@ -547,9 +424,6 @@ func TestEngineTraceOrdering(t *testing.T) {
 		}
 		if i > 0 && o.at < seen[i-1].at {
 			t.Fatalf("hook times regress: %d after %d", o.at, seen[i-1].at)
-		}
-		if o.at == 80 || o.at == 140 {
-			t.Fatalf("hook called for cancelled event at t=%d", o.at)
 		}
 	}
 	if e.Fired() != uint64(executed) {

@@ -92,51 +92,15 @@ func TestEngineSameCycleBatch(t *testing.T) {
 	}
 }
 
-// TestEngineCancelAfterFireIsNoop pins the generation check's contract:
-// cancelling a handle whose event already fired (slot freed, not yet
-// reused) must neither panic nor disturb the live-event accounting.
-func TestEngineCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(1, func() { fired = true })
-	e.Run(10)
-	if !fired {
-		t.Fatal("event did not fire")
-	}
-	ev.Cancel() // slot already recycled: generation mismatch, no-op
-	if !ev.Cancelled() {
-		t.Fatal("handle did not record the Cancel")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after post-fire Cancel, want 0", e.Pending())
-	}
-	if s := e.Stats(); s.Cancelled != 0 {
-		t.Fatalf("post-fire Cancel counted: Cancelled = %d", s.Cancelled)
-	}
-	again := false
-	e.At(20, func() { again = true })
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after reschedule, want 1", e.Pending())
-	}
-	e.Run(30)
-	if !again {
-		t.Fatal("engine unusable after post-fire Cancel")
-	}
-}
-
 // TestEngineStatsCounters checks the Stats bookkeeping identity
-// Scheduled = Fired + Cancelled + Pending and the tier split.
+// Scheduled = Fired + Pending and the tier split.
 func TestEngineStatsCounters(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 100; i++ {
 		e.After(Cycles(i), func() {})
 	}
-	var far []*Event
 	for i := 0; i < 50; i++ {
-		far = append(far, e.After(Cycles(bandBuckets*2+i), func() {}))
-	}
-	for _, ev := range far[:20] {
-		ev.Cancel()
+		e.After(Cycles(bandBuckets*2+i), func() {})
 	}
 	e.Run(200)
 	s := e.Stats()
@@ -146,48 +110,18 @@ func TestEngineStatsCounters(t *testing.T) {
 	if s.BandScheduled != 100 || s.HeapScheduled != 50 {
 		t.Fatalf("tier split %d/%d, want 100/50", s.BandScheduled, s.HeapScheduled)
 	}
-	if s.Cancelled != 20 {
-		t.Fatalf("Cancelled = %d, want 20", s.Cancelled)
+	if s.Fired != 100 || e.Pending() != 50 {
+		t.Fatalf("Fired %d, Pending %d, want 100 and 50", s.Fired, e.Pending())
 	}
-	if got := s.Fired + s.Cancelled + uint64(e.Pending()); got != s.Scheduled {
-		t.Fatalf("Fired %d + Cancelled %d + Pending %d = %d, want Scheduled %d",
-			s.Fired, s.Cancelled, e.Pending(), got, s.Scheduled)
+	if got := s.Fired + uint64(e.Pending()); got != s.Scheduled {
+		t.Fatalf("Fired %d + Pending %d = %d, want Scheduled %d",
+			s.Fired, e.Pending(), got, s.Scheduled)
 	}
 	if s.PeakPending != 150 {
 		t.Fatalf("PeakPending = %d, want 150", s.PeakPending)
 	}
 	if share := s.BandShare(); share <= 0.6 || share >= 0.7 {
 		t.Fatalf("BandShare = %v, want 100/150", share)
-	}
-}
-
-// TestEngineHeapCancelCompaction cancels most of a large far-future
-// population and checks the overflow heap compacts it away while the
-// survivors still fire in order.
-func TestEngineHeapCancelCompaction(t *testing.T) {
-	e := NewEngine(1)
-	var evs []*Event
-	var got []int
-	for i := 0; i < 1000; i++ {
-		i := i
-		evs = append(evs, e.At(Time(bandBuckets+1000+i), func() { got = append(got, i) }))
-	}
-	for i, ev := range evs {
-		if i%10 != 0 {
-			ev.Cancel()
-		}
-	}
-	if s := e.Stats(); s.Compactions == 0 {
-		t.Fatalf("expected a heap compaction after 900 cancels, stats: %+v", s)
-	}
-	e.Drain()
-	if len(got) != 100 {
-		t.Fatalf("fired %d survivors, want 100", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("survivors fired out of order: %d after %d", got[i], got[i-1])
-		}
 	}
 }
 

@@ -46,9 +46,16 @@ func ReadFile(s string, v any) error {
 // as its key. Keys are lower case.
 type Keys map[string]any
 
+// Kind returns an inline spec's kind: its first field, trimmed and in
+// lower case.
+func Kind(s string) string {
+	kind, _, _ := strings.Cut(s, ",")
+	return strings.ToLower(strings.TrimSpace(kind))
+}
+
 // Inline parses an inline spec, storing each field's value through
-// keys, and returns the spec's kind in lower case. A key given twice
-// keeps its last value.
+// keys, and returns the spec's kind (see Kind). A key given twice keeps
+// its last value.
 func Inline(s string, keys Keys) (kind string, err error) {
 	fields := strings.Split(s, ",")
 	for _, f := range fields[1:] {
@@ -73,7 +80,7 @@ func Inline(s string, keys Keys) (kind string, err error) {
 			return "", fmt.Errorf("%s=%s: %v", key, val, err)
 		}
 	}
-	return strings.ToLower(strings.TrimSpace(fields[0])), nil
+	return Kind(s), nil
 }
 
 // set parses val into the field dst points at.

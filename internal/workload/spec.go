@@ -202,7 +202,8 @@ func (s *Spec) IsDefaultBulk() bool {
 //	"rpc,req=384,mix=web"
 //
 // or, with a leading "@", a JSON spec file (the Spec JSON schema).
-// Defaults are applied and the result validated; keys accept the JSON
+// Defaults are applied, the result validated and the fields its kind
+// does not read reset to their defaults; keys accept the JSON
 // field names and short aliases (req, rsp, interval, maxinterval,
 // timeout, alt).
 func Parse(s string) (*Spec, error) {
@@ -234,7 +235,28 @@ func Parse(s string) (*Spec, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	w.normalize()
 	return &w, nil
+}
+
+// normalize resets every field the spec's kind does not read to its
+// default, so spellings that simulate identically parse to one Spec and
+// share one cache key: bulk reads only Alternate, rpc only ReqBytes,
+// RspBytes and Mix, openloop every field but Alternate. It runs on a
+// validated spec, so it accepts nothing Validate refused.
+func (s *Spec) normalize() {
+	d := Spec{Kind: s.Kind}
+	switch s.Kind {
+	case KindBulk:
+		d.Alternate = s.Alternate
+	case KindRPC:
+		d.ReqBytes, d.RspBytes, d.Mix = s.ReqBytes, s.RspBytes, s.Mix
+	case KindOpenLoop:
+		d = *s
+		d.Alternate = false
+	}
+	d.ApplyDefaults()
+	*s = d
 }
 
 // mixTable returns the response-size table for the spec's mix. The

@@ -66,5 +66,17 @@ if "$TMP/affinity-sim" -faults "loss,rate=2" >/dev/null 2>&1; then
     echo "fault_smoke: invalid schedule (rate=2) was accepted" >&2
     exit 1
 fi
+# So must a jitter whose draw bound overflows, a delay no frame can
+# outlast within the run, and a storm naming every NIC: each is a usage
+# error (exit 2) reported before any cycle is simulated.
+for spec in "delay,jitter=18446744073709551615" "delay,delay=1e12" "storm,cpu=0,period=1e5,nic=-1"; do
+    rc=0
+    "$TMP/affinity-sim" -warmup 2000000 -measure 5000000 -faults "$spec" > "$TMP/refused.txt" 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "fault event 0" "$TMP/refused.txt"; then
+        echo "fault_smoke: invalid schedule \"$spec\" exited $rc, want a refusal with exit 2:" >&2
+        cat "$TMP/refused.txt" >&2
+        exit 1
+    fi
+done
 
 echo "fault_smoke: OK (6 fault kinds, invariants clean, repeat run byte-identical)"
