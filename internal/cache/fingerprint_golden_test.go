@@ -73,12 +73,11 @@ func goldenConfig(t *testing.T, tp, mode, dir, size, pol, wl, co, f string) core
 	return cfg
 }
 
-// goldenFingerprints lists "label fingerprint" for every combination of
-// topology × mode × dir × size × policy × workload × coalesce × faults
-// (the cell-shape product), then a few seed, window, Tune and TCP
-// variants of one cell.
-func goldenFingerprints(t *testing.T) []string {
-	var out []string
+// goldenCells calls visit with a label and a config for every
+// combination of topology × mode × dir × size × policy × workload ×
+// coalesce × faults (the cell-shape product), then for a few seed,
+// window, Tune and TCP variants of one cell.
+func goldenCells(t *testing.T, visit func(label string, cfg core.Config)) {
 	for _, tp := range []string{"paper", "uniform-4-4-2"} {
 		for _, mode := range []string{"none", "full"} {
 			for _, dir := range []string{"tx", "rx"} {
@@ -88,8 +87,7 @@ func goldenFingerprints(t *testing.T) []string {
 							for _, co := range []string{"legacy", "adaptive", "timer,usecs=100"} {
 								for _, f := range []string{"none", "loss", "stall"} {
 									cfg := goldenConfig(t, tp, mode, dir, size, pol, wl, co, f)
-									label := strings.Join([]string{tp, mode, dir, size, pol, wl, co, f}, "/")
-									out = append(out, label+" "+Fingerprint(cfg))
+									visit(strings.Join([]string{tp, mode, dir, size, pol, wl, co, f}, "/"), cfg)
 								}
 							}
 						}
@@ -119,9 +117,15 @@ func goldenFingerprints(t *testing.T) []string {
 		for _, mode := range []string{"none", "full"} {
 			cfg := goldenConfig(t, "paper", mode, "tx", "65536", "default", "bulk", "legacy", "none")
 			v.mutate(&cfg)
-			out = append(out, fmt.Sprintf("paper/%s/tx/65536/%s %s", mode, v.name, Fingerprint(cfg)))
+			visit(fmt.Sprintf("paper/%s/tx/65536/%s", mode, v.name), cfg)
 		}
 	}
+}
+
+// goldenFingerprints lists "label fingerprint" for every golden cell.
+func goldenFingerprints(t *testing.T) []string {
+	var out []string
+	goldenCells(t, func(label string, cfg core.Config) { out = append(out, label+" "+Fingerprint(cfg)) })
 	return out
 }
 

@@ -179,8 +179,24 @@ func ParseCoalesce(s string) (*CoalesceConfig, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Legacy() {
-		c.Mode = CoalesceLegacy
-	}
+	c.normalize()
 	return &c, nil
+}
+
+// normalize resets every parameter the mode does not read, so spellings
+// that simulate identically parse to one config and share one cache
+// key: legacy reads none, timer only Usecs, frames Usecs and Frames,
+// adaptive MinUsecs, MaxUsecs and Frames. It runs on a validated config,
+// so it accepts nothing Validate refused.
+func (c *CoalesceConfig) normalize() {
+	switch c.Mode {
+	case CoalesceTimer:
+		*c = CoalesceConfig{Mode: c.Mode, Usecs: c.Usecs}
+	case CoalesceFrames:
+		*c = CoalesceConfig{Mode: c.Mode, Usecs: c.Usecs, Frames: c.Frames}
+	case CoalesceAdaptive:
+		*c = CoalesceConfig{Mode: c.Mode, Frames: c.Frames, MinUsecs: c.MinUsecs, MaxUsecs: c.MaxUsecs}
+	default:
+		*c = CoalesceConfig{Mode: CoalesceLegacy}
+	}
 }

@@ -20,6 +20,12 @@ func TestParseCoalesceSpecs(t *testing.T) {
 		"frames,usecs=80,frames=4":         {Mode: CoalesceFrames, Usecs: 80, Frames: 4},
 		"adaptive":                         {Mode: CoalesceAdaptive, MinUsecs: 5, MaxUsecs: 250, Frames: 8},
 		"adaptive,min=20,max=400,frames=4": {Mode: CoalesceAdaptive, MinUsecs: 20, MaxUsecs: 400, Frames: 4},
+		// A parameter the mode does not read is reset, so an inert
+		// spelling parses to its canonical config.
+		"legacy,usecs=5":         {Mode: CoalesceLegacy},
+		"timer,usecs=100,min=3":  {Mode: CoalesceTimer, Usecs: 100},
+		"frames,frames=16,max=9": {Mode: CoalesceFrames, Usecs: 200, Frames: 16},
+		"adaptive,usecs=7":       {Mode: CoalesceAdaptive, MinUsecs: 5, MaxUsecs: 250, Frames: 8},
 	}
 	for spec, want := range good {
 		got, err := ParseCoalesce(spec)
