@@ -10,8 +10,10 @@
 #
 #  2. Open-loop determinism: a 10⁴-connection churn cell through the
 #     CLI twice must print byte-identical output, including the
-#     p50/p99/p999 tail-latency lines, and must run to completion
-#     (every generated connection terminal).
+#     p50/p99/p999 tail-latency lines, must run to completion (every
+#     generated connection terminal), and must match the committed
+#     testdata/openloop10k_golden.txt, so a host-side change to
+#     per-connection state that moves bytes deterministically fails too.
 #
 # CI runs this; it is also handy locally:
 #
@@ -50,6 +52,11 @@ if ! cmp -s "$TMP/cell1.txt" "$TMP/cell2.txt"; then
     diff "$TMP/cell1.txt" "$TMP/cell2.txt" >&2 || true
     exit 1
 fi
+if ! cmp -s testdata/openloop10k_golden.txt "$TMP/cell1.txt"; then
+    echo "workload_smoke: open-loop cell diverged from the golden:" >&2
+    diff testdata/openloop10k_golden.txt "$TMP/cell1.txt" >&2 || true
+    exit 1
+fi
 if ! grep -q "p50" "$TMP/cell1.txt" || ! grep -q "p999" "$TMP/cell1.txt"; then
     echo "workload_smoke: open-loop cell reported no tail latency:" >&2
     cat "$TMP/cell1.txt" >&2
@@ -61,4 +68,4 @@ if ! grep -q "churn: 10000 generated, 10000 completed" "$TMP/cell1.txt"; then
     exit 1
 fi
 
-echo "workload_smoke: OK (figures golden intact, bulk spec inert, 10k cell deterministic and complete)"
+echo "workload_smoke: OK (figures golden intact, bulk spec inert, 10k cell deterministic, complete and golden)"
