@@ -1,6 +1,10 @@
 package tcp
 
-import "repro/internal/netdev"
+import (
+	"fmt"
+
+	"repro/internal/netdev"
+)
 
 // Client models the far end of one connection: an ideal client machine
 // whose CPU is never the bottleneck (the paper provisions clients so the
@@ -13,10 +17,20 @@ import "repro/internal/netdev"
 //
 // Client state is plain values, not simulated memory: its cache
 // behaviour is irrelevant to the characterization.
+//
+// A released client returns to its stack's free list once no pending
+// event refers to it (see retire), and the next connection reuses it
+// with its bound continuations; gen counts those lives.
 type Client struct {
 	st   *Stack
 	conn int
 	nic  *netdev.NIC
+	gen  uint32
+
+	// owner, when set, observes the establishment of an active open and
+	// every data segment delivered to the client (request/response
+	// workloads key their requests off it).
+	owner Owner
 
 	// Sink state.
 	rcvNxt       uint64
@@ -29,10 +43,8 @@ type Client struct {
 
 	// opening is set while a client-initiated (active) open is in
 	// flight: the SYN is out and the SUT's SYN|ACK will establish the
-	// connection; onEstab observes the establishment (openloop workloads
-	// queue their request from it).
+	// connection.
 	opening bool
-	onEstab func()
 
 	// Source state.
 	active bool
@@ -49,12 +61,14 @@ type Client struct {
 	// backlogBytes are one-shot bytes queued by SendBytes (request/
 	// response workloads), drained by pump alongside continuous mode.
 	backlogBytes int
-	// onRecv, when set, observes each data segment delivered to the
-	// client (request/response workloads key their next request off it).
-	onRecv func(n int)
 
-	dupAcks    int
+	dupAcks int
+	// watchFn is the watchdog's event, bound on first use; watchArmed
+	// keeps at most one pending, and watchMark is the ack point it was
+	// armed at.
+	watchFn    func()
 	watchArmed bool
+	watchMark  uint64
 	// recoverSeq guards the go-back path: after a rewind, further
 	// duplicate ACKs are ignored until the ack point passes the old
 	// snd_nxt. Without it every dup-ACK train re-floods the whole window
@@ -66,6 +80,9 @@ type Client struct {
 	// pending counts frames delivered by ToPeer whose processing event
 	// has not yet run (the quiesce check needs to see them).
 	pending int
+	// released is set by Release: the connection is gone, and the
+	// client goes back to the free list once its events have fired.
+	released bool
 
 	// Stats.
 	BytesReceived uint64
@@ -82,20 +99,73 @@ type Client struct {
 	FastRetrans uint64
 }
 
-func newClient(st *Stack, conn int, nic *netdev.NIC) *Client {
-	return &Client{
-		st:     st,
-		conn:   conn,
-		nic:    nic,
-		rcvNxt: 1,
-		sndNxt: 1,
-		sndUna: 1,
-		sndMax: 1,
-		window: st.Cfg.RcvBuf,
+// Owner is the workload driving a client: the client reports its
+// active open's establishment and each data segment it receives.
+type Owner interface {
+	// Established runs once, when the SUT's SYN|ACK answers Open.
+	Established(c *Client)
+	// Received runs for every in-order data segment, with its length.
+	Received(c *Client, n int)
+}
+
+// clientReuse lets retired clients return to the stack's free list;
+// tests turn it off to check that reuse moves no result.
+var clientReuse = true
+
+// newClient returns the far-end model for connection conn: the most
+// recently retired client if one is free, otherwise a new one. A reused
+// client starts from a new one's state, keeping its bound continuations
+// and its generation.
+func (st *Stack) newClient(conn int, nic *netdev.NIC) *Client {
+	var c *Client
+	if n := len(st.clientFree); n > 0 {
+		c = st.clientFree[n-1]
+		st.clientFree = st.clientFree[:n-1]
+	} else {
+		c = new(Client)
+		st.clientObjects++
+	}
+	*c = Client{
+		st:       st,
+		conn:     conn,
+		nic:      nic,
+		gen:      c.gen,
+		delackFn: c.delackFn,
+		watchFn:  c.watchFn,
+		rcvNxt:   1,
+		sndNxt:   1,
+		sndUna:   1,
+		sndMax:   1,
+		window:   st.Cfg.RcvBuf,
 		// The SUT's initial advertisement is half its receive buffer
 		// (truesize headroom); start from the same value.
 		sutWnd: st.Cfg.RcvBuf / 2,
 	}
+	return c
+}
+
+// retire hands a released client back to the stack once no pending
+// event refers to it: a ToPeer delivery, an armed delayed ACK or an
+// armed watchdog. Release calls it, and so does each of those events
+// when it fires after Release, so the last one to fire hands the client
+// back. Retiring bumps the generation that deliveries check.
+func (c *Client) retire() {
+	if !c.released || c.pending > 0 || c.delackArmed || c.watchArmed {
+		return
+	}
+	c.released = false
+	c.gen++
+	c.owner = nil
+	if clientReuse {
+		c.st.clientFree = append(c.st.clientFree, c)
+	}
+}
+
+// stale reports an event that fired for a client after it retired: the
+// accounting in retire missed a pending event, and the event would act
+// on whatever connection now reuses the client.
+func (c *Client) stale(event string) {
+	panic(fmt.Sprintf("tcp: %s fired for retired client (conn %d, generation %d)", event, c.conn, c.gen))
 }
 
 // ToPeer implements netdev.Peer: a frame from the SUT reaches the client
@@ -109,12 +179,13 @@ func (c *Client) ToPeer(f netdev.WireFrame) {
 }
 
 // peerSlot is one frame on its way into a client's processing: the
-// client and the frame. Each event carries its own slot, and fire is
-// bound once, when the slot is made; a delivered slot returns to the
-// stack's free list.
+// client, its generation and the frame. Each event carries its own
+// slot, and fire is bound once, when the slot is made; a delivered slot
+// returns to the stack's free list.
 type peerSlot struct {
 	st   *Stack
 	c    *Client
+	gen  uint32
 	f    netdev.WireFrame
 	fire func()
 }
@@ -129,17 +200,21 @@ func (st *Stack) peerSlot(c *Client, f netdev.WireFrame) *peerSlot {
 		s = &peerSlot{st: st}
 		s.fire = s.deliver
 	}
-	s.c, s.f = c, f
+	s.c, s.gen, s.f = c, c.gen, f
 	return s
 }
 
 // deliver is the event that hands the frame to its client.
 func (s *peerSlot) deliver() {
 	c, f := s.c, s.f
+	if s.gen != c.gen {
+		c.stale("delivery")
+	}
 	s.c = nil
 	s.st.peerFree = append(s.st.peerFree, s)
 	c.pending--
 	if !c.live() {
+		c.retire()
 		return
 	}
 	c.handle(f)
@@ -163,9 +238,8 @@ func (c *Client) handle(f netdev.WireFrame) {
 			// bytes queued while the handshake was in flight.
 			c.opening = false
 			c.sutWnd = f.Window
-			if cb := c.onEstab; cb != nil {
-				c.onEstab = nil
-				cb()
+			if c.owner != nil {
+				c.owner.Established(c)
 			}
 			c.pump()
 			return
@@ -195,8 +269,8 @@ func (c *Client) handle(f netdev.WireFrame) {
 		}
 		c.rcvNxt += uint64(f.Len)
 		c.BytesReceived += uint64(f.Len)
-		if c.onRecv != nil {
-			c.onRecv(f.Len)
+		if c.owner != nil {
+			c.owner.Received(c, f.Len)
 		}
 		c.segsSinceAck++
 		if c.segsSinceAck >= c.st.Cfg.DelAckSegs {
@@ -246,8 +320,12 @@ func (c *Client) handle(f netdev.WireFrame) {
 
 // delack is the delayed-ACK timer's event.
 func (c *Client) delack() {
+	if !c.delackArmed {
+		c.stale("delayed ACK")
+	}
 	c.delackArmed = false
 	if !c.live() {
+		c.retire()
 		return
 	}
 	if c.segsSinceAck > 0 {
@@ -266,20 +344,30 @@ func (c *Client) armWatchdog() {
 		return
 	}
 	c.watchArmed = true
-	mark := c.sndUna
-	c.st.K.Eng.After(400_000_000, func() {
-		c.watchArmed = false
-		if !c.live() {
-			return
-		}
-		if c.sndNxt > c.sndUna && c.sndUna == mark {
-			c.Retransmits++
-			c.recoverSeq = c.sndNxt
-			c.sndNxt = c.sndUna
-			c.pump()
-		}
-		c.armWatchdog()
-	})
+	c.watchMark = c.sndUna
+	if c.watchFn == nil {
+		c.watchFn = c.watchdog
+	}
+	c.st.K.Eng.After(400_000_000, c.watchFn)
+}
+
+// watchdog is the retransmission watchdog's event.
+func (c *Client) watchdog() {
+	if !c.watchArmed {
+		c.stale("watchdog")
+	}
+	c.watchArmed = false
+	if !c.live() {
+		c.retire()
+		return
+	}
+	if c.sndNxt > c.sndUna && c.sndUna == c.watchMark {
+		c.Retransmits++
+		c.recoverSeq = c.sndNxt
+		c.sndNxt = c.sndUna
+		c.pump()
+	}
+	c.armWatchdog()
 }
 
 func (c *Client) sendAck() {
@@ -313,9 +401,12 @@ func (c *Client) SendBytes(n int) {
 	c.pump()
 }
 
-// OnReceive registers cb, invoked with the length of every data segment
-// the client receives from the SUT.
-func (c *Client) OnReceive(cb func(n int)) { c.onRecv = cb }
+// SetOwner installs o as the workload driving the client. Set it before
+// Open or the first data the SUT sends.
+func (c *Client) SetOwner(o Owner) { c.owner = o }
+
+// Conn reports the client's connection id.
+func (c *Client) Conn() int { return c.conn }
 
 // --- active open / close (connection-churn workloads) ---
 
@@ -328,15 +419,11 @@ func (st *Stack) NewActiveClient(conn int, nic *netdev.NIC) *Client {
 	if st.lookupClient(conn) != nil {
 		panic("tcp: duplicate client connection")
 	}
-	c := newClient(st, conn, nic)
+	c := st.newClient(conn, nic)
 	c.opening = true
 	st.bindClient(conn, c)
 	return c
 }
-
-// OnEstablished registers cb, invoked once when the SUT's SYN|ACK
-// arrives. Register before Open.
-func (c *Client) OnEstablished(cb func()) { c.onEstab = cb }
 
 // Open sends the SYN toward the SUT. If the SUT's receive ring drops it
 // (overload) or the listener refuses it, no SYN|ACK ever comes back and

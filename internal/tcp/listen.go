@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"slices"
+
 	"repro/internal/cpu"
 	"repro/internal/kern"
 	"repro/internal/mem"
@@ -161,7 +163,7 @@ func (l *Listener) Accept(env *kern.Env) *Socket {
 		env.Sleep(l.wait)
 	}
 	h := l.acceptQ[0]
-	l.acceptQ = l.acceptQ[1:]
+	l.acceptQ = slices.Delete(l.acceptQ, 0, 1)
 	return st.arena.socks[h]
 }
 

@@ -6,6 +6,15 @@ import (
 	"repro/internal/kern"
 )
 
+// ownerFuncs is an Owner built from two functions.
+type ownerFuncs struct {
+	established func(c *Client)
+	received    func(c *Client, n int)
+}
+
+func (o ownerFuncs) Established(c *Client)     { o.established(c) }
+func (o ownerFuncs) Received(c *Client, n int) { o.received(c, n) }
+
 // TestListenAcceptServesActiveOpen walks one full churned-connection
 // lifecycle through the passive-open path: a far-end client SYNs in, a
 // parked acceptor wakes with the new socket, serves a request/response
@@ -35,13 +44,15 @@ func TestListenAcceptServesActiveOpen(t *testing.T) {
 	c := r.st.NewActiveClient(9, r.nic)
 	got := 0
 	closed := false
-	c.OnEstablished(func() { c.SendBytes(req) })
-	c.OnReceive(func(n int) {
-		got += n
-		if !closed && got >= rsp {
-			closed = true
-			c.Close()
-		}
+	c.SetOwner(ownerFuncs{
+		established: func(c *Client) { c.SendBytes(req) },
+		received: func(c *Client, n int) {
+			got += n
+			if !closed && got >= rsp {
+				closed = true
+				c.Close()
+			}
+		},
 	})
 	r.eng.At(1000, c.Open)
 	r.eng.Run(2_000_000_000)

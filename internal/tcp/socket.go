@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/kern"
@@ -38,7 +39,7 @@ func (st *Stack) NewConn(conn int, nic *netdev.NIC) (*Socket, *Client) {
 	s := st.arena.socks[h]
 	st.bindConn(conn, h)
 
-	c := newClient(st, conn, nic)
+	c := st.newClient(conn, nic)
 	st.bindClient(conn, c)
 	return s, c
 }
@@ -129,7 +130,7 @@ func (s *Socket) releaseSock(env *kern.Env) {
 	ctl.slock.Lock(env)
 	for len(ctl.backlog) > 0 {
 		pkt := ctl.backlog[0]
-		ctl.backlog = ctl.backlog[1:]
+		ctl.backlog = slices.Delete(ctl.backlog, 0, 1)
 		env.Run(s.st.p.tcpV4DoRcv, func(x *cpu.Exec) {
 			x.Instr(45, 0.18, 0.015).Overhead(45).Load(ctl.sockAddr, 64)
 		})
@@ -456,7 +457,7 @@ func (s *Socket) rcvAck(env *kern.Env, f netdev.WireFrame) {
 			if head.Seq+uint64(head.Len) > tx.sndUna {
 				break
 			}
-			tx.retransQ = tx.retransQ[1:]
+			tx.retransQ = slices.Delete(tx.retransQ, 0, 1)
 			tx.sndBufBytes -= skbTruesize
 			st.Pool.FreeSKB(env, head)
 			freed++
@@ -564,7 +565,7 @@ func (s *Socket) Read(env *kern.Env, userBuf mem.Addr, size int) {
 		skb.Consumed += chunk
 		copied += chunk
 		if skb.Remaining() == 0 {
-			rx.rcvQ = rx.rcvQ[1:]
+			rx.rcvQ = slices.Delete(rx.rcvQ, 0, 1)
 			rx.rcvQBytes -= skbTruesize
 			env.Run(p.sockRfree, func(x *cpu.Exec) {
 				x.Instr(70, 0.18, 0.012).Store(ctl.sockAddr, 32)

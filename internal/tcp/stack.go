@@ -88,8 +88,12 @@ type Stack struct {
 	arena      sockArena
 	connSock   []Handle
 	connClient []*Client
-	// peerFree holds idle client-delivery slots (peerSlot) for reuse.
-	peerFree []*peerSlot
+	// peerFree holds idle client-delivery slots (peerSlot) for reuse;
+	// clientFree retired clients (Client.retire), of the clientObjects
+	// the stack has made.
+	peerFree      []*peerSlot
+	clientFree    []*Client
+	clientObjects int
 
 	// released aggregates per-connection counters of churned (Released)
 	// connections; releasedClient their far-end clients'.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/tcp"
 )
 
 // RPC is the closed-loop request/response workload over the
@@ -17,8 +18,22 @@ import (
 // byte) is recorded into a quantile sketch.
 type RPC struct {
 	spec     Spec
+	m        *Machine
+	mix      []int
 	lat      *stats.Sketch
 	requests uint64
+
+	// conns holds each connection's client-side state by index (the
+	// pre-established connection ids are 0..n-1).
+	conns []rpcConn
+}
+
+// rpcConn is one connection's client side: the requests it has
+// completed, the size of the response it awaits, the bytes of that
+// response received so far and when its request went out.
+type rpcConn struct {
+	seq, expected, got int
+	issuedAt           sim.Time
 }
 
 func newRPC(spec Spec) *RPC {
@@ -38,6 +53,8 @@ func (w *RPC) Launch(m *Machine) {
 	mix := w.spec.mixTable()
 	req := w.spec.ReqBytes
 	rspBufBytes := pageRound(w.spec.MaxResponseBytes())
+	w.m, w.mix = m, mix
+	w.conns = make([]rpcConn, len(m.Sockets))
 	for i := range m.Sockets {
 		i := i
 		sock := m.Sockets[i]
@@ -55,30 +72,38 @@ func (w *RPC) Launch(m *Machine) {
 			})
 		m.BindFlow(i, srv)
 
-		// The client: issue the next request once the full response for
-		// the previous one has arrived (closed-loop, like a browser).
-		seq := 0
-		expected := mix[i%len(mix)]
-		got := 0
-		var issuedAt sim.Time
-		client.OnReceive(func(n int) {
-			got += n
-			for got >= expected {
-				got -= expected
-				w.requests++
-				w.lat.Add(uint64(m.Eng.Now() - issuedAt))
-				seq++
-				expected = mix[(i+seq)%len(mix)]
-				issuedAt = m.Eng.Now()
-				client.SendBytes(req)
-			}
-		})
+		// The client issues the next request once the full response for
+		// the previous one has arrived (closed-loop, like a browser; see
+		// Received).
+		w.conns[i].expected = mix[i%len(mix)]
+		client.SetOwner(w)
 		// Staggered first requests so the connections do not start in
 		// lockstep.
 		m.Eng.At(sim.Time(1000+i*997), func() {
-			issuedAt = m.Eng.Now()
+			w.conns[i].issuedAt = m.Eng.Now()
 			client.SendBytes(req)
 		})
+	}
+}
+
+// Established implements tcp.Owner: the connections are pre-established,
+// so there is nothing to do.
+func (w *RPC) Established(c *tcp.Client) {}
+
+// Received implements tcp.Owner: each full response completes a request
+// and issues the next.
+func (w *RPC) Received(c *tcp.Client, n int) {
+	i := c.Conn()
+	r := &w.conns[i]
+	r.got += n
+	for r.got >= r.expected {
+		r.got -= r.expected
+		w.requests++
+		w.lat.Add(uint64(w.m.Eng.Now() - r.issuedAt))
+		r.seq++
+		r.expected = w.mix[(i+r.seq)%len(w.mix)]
+		r.issuedAt = w.m.Eng.Now()
+		c.SendBytes(w.spec.ReqBytes)
 	}
 }
 
