@@ -200,12 +200,21 @@ func (j *Journal) Append(fp string, line []byte) {
 	if j == nil {
 		return
 	}
+	j.appendThen(fp, line, func() {})
+}
+
+// appendThen is Append followed by then, under the journal lock: what
+// then publishes is already recorded, and no checkpoint falls between
+// the record and then. then runs even when the write fails or the
+// journal is closed.
+func (j *Journal) appendThen(fp string, line []byte, then func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer then()
 	if len(line) > journalMaxLine {
 		j.writeErrors.Add(1)
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
 		return
 	}
@@ -291,7 +300,11 @@ func (j *Journal) checkpoint(resident func() []entry[[]byte]) error {
 }
 
 // syncLoop is the group-commit fsync: appended records are flushed to
-// the OS immediately but synced to stable storage in batches.
+// the OS immediately but synced to stable storage in batches. The fsync
+// runs outside the lock, so appends (and the store inserts that wait on
+// them) never queue behind the disk; a record written during it sets
+// dirty again for the next tick. Close waits for this loop to stop
+// before it closes the wal.
 func (j *Journal) syncLoop(every time.Duration) {
 	defer close(j.syncDone)
 	tick := time.NewTicker(every)
@@ -303,13 +316,14 @@ func (j *Journal) syncLoop(every time.Duration) {
 		case <-tick.C:
 		}
 		j.mu.Lock()
-		if j.dirty && !j.closed {
+		sync := j.dirty && !j.closed
+		j.dirty = false
+		j.mu.Unlock()
+		if sync {
 			if err := j.wal.Sync(); err != nil {
 				j.writeErrors.Add(1)
 			}
-			j.dirty = false
 		}
-		j.mu.Unlock()
 	}
 }
 

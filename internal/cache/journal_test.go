@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -126,4 +127,78 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("stats %+v, want %d discards and %d resumed", st, discards, len(want))
 		}
 	})
+}
+
+// TestAppendThenRunsAfterTheRecordUnderTheLock: appendThen's callback
+// finds the record already in the wal and the journal lock still held,
+// so a checkpoint cannot fall between the record and what the callback
+// publishes.
+func TestAppendThenRunsAfterTheRecordUnderTheLock(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	ran := false
+	j.appendThen("fp-1", []byte(`{"n":1}`), func() {
+		ran = true
+		wal, err := os.ReadFile(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		refReplay(wal, got)
+		if got["fp-1"] != `{"n":1}` {
+			t.Errorf("callback ran before the record was written: wal holds %q", wal)
+		}
+		if j.mu.TryLock() {
+			j.mu.Unlock()
+			t.Error("callback ran without the journal lock")
+		}
+	})
+	if !ran {
+		t.Fatal("callback never ran")
+	}
+}
+
+// TestLedValueResidentOnlyOnceJournaled: a led value is not resident
+// while its record is being made, and is both resident and journaled
+// when GetOrDo returns — Size never counts a cell the journal lacks.
+func TestLedValueResidentOnlyOnceJournaled(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var s *Store[[]byte]
+	encoded := false
+	encode := func(line []byte) []byte {
+		encoded = true
+		if n, _ := s.Size(); n != 0 {
+			t.Errorf("the value is resident (%d entries) before its record is written", n)
+		}
+		return line
+	}
+	s = NewStore(100, func([]byte) int64 { return 1 }, j, encode,
+		func(line []byte) ([]byte, error) { return line, nil })
+	if _, _, err := s.GetOrDo(context.Background(), "fp-1", func() ([]byte, error) { return []byte(`{"n":1}`), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !encoded {
+		t.Fatal("the led value was never journaled")
+	}
+	if n, _ := s.Size(); n != 1 {
+		t.Fatalf("%d entries resident after GetOrDo, want 1", n)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	refReplay(wal, got)
+	if got["fp-1"] != `{"n":1}` {
+		t.Errorf("resident value missing from the wal: %q", wal)
+	}
 }

@@ -91,13 +91,20 @@ func NewStore[V any](bound int64, cost func(V) int64, j *Journal, encode func(V)
 	return s
 }
 
-// insert adds key, costing c, at the front unless it is resident (the
-// first value wins) or costs more than the whole bound, then evicts from
-// the back until the bound holds. The caller holds mu, or has the store
-// to itself.
-func (s *Store[V]) insert(key string, v V, c int64, replayed bool) bool {
-	if _, ok := s.byKey[key]; ok || s.bound > 0 && c > s.bound {
-		return false
+// admits reports whether insert would store key at cost c: key is not
+// resident (the first value wins) and c is within the whole bound. The
+// caller holds mu, or has the store to itself.
+func (s *Store[V]) admits(key string, c int64) bool {
+	_, ok := s.byKey[key]
+	return !ok && (s.bound <= 0 || c <= s.bound)
+}
+
+// insert adds key, costing c, at the front if the store admits it, then
+// evicts from the back until the bound holds. The caller holds mu, or
+// has the store to itself.
+func (s *Store[V]) insert(key string, v V, c int64, replayed bool) {
+	if !s.admits(key, c) {
+		return
 	}
 	s.byKey[key] = s.ll.PushFront(&entry[V]{key: key, val: v, cost: c, replayed: replayed})
 	s.used += c
@@ -107,7 +114,6 @@ func (s *Store[V]) insert(key string, v V, c int64, replayed bool) bool {
 		s.used -= e.cost
 		s.evictions.Add(1)
 	}
-	return true
 }
 
 // Get returns key's resident value and its origin (Hit, or Resumed for a
@@ -171,20 +177,35 @@ func (s *Store[V]) GetOrDo(ctx context.Context, key string, do func() (V, error)
 }
 
 // lead runs do as key's leader. On the way out, also when do or the cost
-// function panics, it stores and journals a successful value and then
+// function panics, it journals and stores a successful value and then
 // releases the waiters.
+//
+// A new value's record is written before the value turns resident, and
+// both happen under the journal lock: Size never counts a cell whose
+// record is missing, and a checkpoint, which snapshots the store under
+// that lock, sees the cell with its record or neither. The order is
+// always journal, then store. Until the flight is deleted no other
+// caller can insert key, so whether the value will be stored is known
+// before the record is written.
 func (s *Store[V]) lead(key string, fl *flight[V], do func() (V, error)) (V, error) {
 	var cost int64
 	defer close(fl.done)
 	defer func() {
+		publish := func() {
+			s.mu.Lock()
+			delete(s.flight, key)
+			if fl.err == nil {
+				s.insert(key, fl.val, cost, false)
+			}
+			s.mu.Unlock()
+		}
 		s.mu.Lock()
-		delete(s.flight, key)
-		first := fl.err == nil && s.insert(key, fl.val, cost, false)
+		journaled := fl.err == nil && s.journal != nil && s.admits(key, cost)
 		s.mu.Unlock()
-		// Outside mu: the journal's checkpoint takes mu under its own
-		// lock, so the order is always journal, then store.
-		if first && s.journal != nil {
-			s.journal.Append(key, s.encode(fl.val))
+		if journaled {
+			s.journal.appendThen(key, s.encode(fl.val), publish)
+		} else {
+			publish()
 		}
 	}()
 	v, err := do()
