@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -352,5 +353,48 @@ func TestKeyIndexHitAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocations per index hit, want 0", n)
+	}
+}
+
+// warmSweepAllocs bounds the allocations of one fully resident 28-cell
+// sweep served through ServeHTTP into a recorder, the request and the
+// recorder included: decoding, expansion, 28 key-index and store hits,
+// and the stream's writes.
+const warmSweepAllocs = 100
+
+// TestWarmSweepAllocs pins the coordinator's warm path, the one a
+// repeated sweep takes when every cell is resident: its allocations stay
+// at warmSweepAllocs, and it starts no goroutine that outlives it.
+func TestWarmSweepAllocs(t *testing.T) {
+	const body = `{}` // the default grid: 7 sizes × 4 modes
+	cts, c := newStubFleet(t, &stubWorker{}, "")
+	code, cold := post(t, cts.URL+"/v1/sweep", body)
+	if code != http.StatusOK || strings.Count(cold, "\n") != 28 {
+		t.Fatalf("cold sweep: status %d, body %q", code, cold)
+	}
+	warm := func() {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Body.String() != cold {
+			t.Fatalf("warm sweep: status %d, body %q; want the cold bytes", rec.Code, rec.Body)
+		}
+	}
+	warm()
+	// Let the cold sweep's connections and handlers wind down first.
+	before := runtime.NumGoroutine()
+	for settled := 0; settled < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == before {
+			settled++
+		} else {
+			before, settled = n, 0
+		}
+	}
+	n := testing.AllocsPerRun(100, warm)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after 101 warm sweeps, %d before", after, before)
+	}
+	if n > warmSweepAllocs {
+		t.Errorf("%v allocations per warm 28-cell sweep, want at most %d", n, warmSweepAllocs)
 	}
 }

@@ -685,3 +685,71 @@ func TestMetricsScrapeIsOneSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFailureAnswers pins the exact answer /v1/run gives for each way
+// a cell can fail: status, content type and body, and the path label on
+// the request and panic counters. An aborted result is a 503
+// naming the abort reason, a panic a 500 naming the panic, and a cell
+// still running at the deadline a 503 even when the simulation ignores
+// its context.
+func TestRunFailureAnswers(t *testing.T) {
+	hang := make(chan struct{})
+	defer close(hang)
+	for name, tc := range map[string]struct {
+		stub   func(context.Context, core.Config) *core.Result
+		code   int
+		body   string
+		panics bool
+	}{
+		"cycle budget": {
+			stub: func(context.Context, core.Config) *core.Result {
+				return &core.Result{Aborted: true, AbortReason: core.AbortCycleBudget}
+			},
+			code: http.StatusServiceUnavailable,
+			body: `{"error":"simulation aborted: ` + core.AbortCycleBudget + `"}`,
+		},
+		"no reason": {
+			stub: func(context.Context, core.Config) *core.Result { return &core.Result{Aborted: true} },
+			code: http.StatusServiceUnavailable,
+			body: `{"error":"simulation aborted: aborted"}`,
+		},
+		"panic": {
+			stub:   func(context.Context, core.Config) *core.Result { panic("boom") },
+			code:   http.StatusInternalServerError,
+			body:   `{"error":"simulation panicked: boom"}`,
+			panics: true,
+		},
+		"deadline": {
+			stub: func(context.Context, core.Config) *core.Result { <-hang; return nil },
+			code: http.StatusServiceUnavailable,
+			body: `{"error":"request timed out; simulation cancelled"}`,
+		},
+	} {
+		ts := newTestServer(t, Options{Runner: core.NewRunner(1), Run: tc.stub, Timeout: 200 * time.Millisecond})
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tinyBody("")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code || string(b) != tc.body+"\n" || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, type %q, body %q; want %d, application/json, %q",
+				name, resp.StatusCode, resp.Header.Get("Content-Type"), b, tc.code, tc.body+"\n")
+		}
+		_, metricsBody := get(t, ts.URL+"/metrics")
+		want := []string{fmt.Sprintf(`affinity_requests_total{path="/v1/run",code="%d"} 1`, tc.code)}
+		if tc.panics {
+			want = append(want, `affinity_panics_total{path="/v1/run"} 1`)
+		} else if strings.Contains(metricsBody, `affinity_panics_total{path=`) {
+			t.Errorf("%s: a panic was counted", name)
+		}
+		for _, w := range want {
+			if !strings.Contains(metricsBody, w) {
+				t.Errorf("%s: metrics missing %q", name, w)
+			}
+		}
+	}
+}
