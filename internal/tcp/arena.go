@@ -285,15 +285,7 @@ func (st *Stack) Release(env *kern.Env, s *Socket) {
 	ctl.state = StateClosed
 	st.released.add(a.statAt(h))
 	*a.statAt(h) = sockStats{}
-	if c := st.lookupClient(ctl.conn); c != nil {
-		st.releasedClient.retransmits += c.Retransmits
-		st.releasedClient.outOfOrder += c.OutOfOrder
-		st.releasedClient.dupAcksSent += c.DupAcksSent
-		st.releasedClient.fastRetrans += c.FastRetrans
-		st.connClient[ctl.conn] = nil
-		c.released = true
-		c.retire()
-	}
+	st.releaseClient(ctl.conn)
 	for _, skb := range retrans {
 		st.Pool.FreeSKB(env, skb)
 	}
@@ -309,6 +301,23 @@ func (st *Stack) Release(env *kern.Env, s *Socket) {
 		}
 	}
 	a.free = append(a.free, h)
+}
+
+// releaseClient unbinds conn's far-end client, if any, folding its
+// counters into the stack aggregate; the client retires once no pending
+// event refers to it.
+func (st *Stack) releaseClient(conn int) {
+	c := st.lookupClient(conn)
+	if c == nil {
+		return
+	}
+	st.releasedClient.retransmits += c.Retransmits
+	st.releasedClient.outOfOrder += c.OutOfOrder
+	st.releasedClient.dupAcksSent += c.DupAcksSent
+	st.releasedClient.fastRetrans += c.FastRetrans
+	st.connClient[conn] = nil
+	c.released = true
+	c.retire()
 }
 
 // Slots reports how many arena slots exist (peak concurrent

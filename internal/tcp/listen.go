@@ -102,8 +102,17 @@ func (l *Listener) passiveOpen(env *kern.Env, pkt netdev.RxPacket) {
 			st.Pool.FreeSKB(env, skb)
 		}
 	}
-	if len(l.acceptQ) >= l.max || st.lookupSocket(f.Conn) != nil {
+	if st.lookupSocket(f.Conn) != nil {
+		// A duplicate SYN: the connection it opens already exists.
 		l.SynDrops++
+		freeRing()
+		return
+	}
+	if len(l.acceptQ) >= l.max {
+		// Refused: no SYN|ACK will ever reach the client (no SYN retry is
+		// modelled), so it is released now rather than at the cell's end.
+		l.SynDrops++
+		st.releaseClient(f.Conn)
 		freeRing()
 		return
 	}
@@ -130,11 +139,13 @@ func (l *Listener) passiveOpen(env *kern.Env, pkt netdev.RxPacket) {
 		Cookie: synack,
 	})
 	if !ok {
+		// The SYN|ACK never left: refused like a full accept queue.
 		st.Pool.FreeClone(env, synack)
 		st.unbindConn(s.Conn)
 		ctl.state = StateClosed
 		st.arena.free = append(st.arena.free, h)
 		l.SynDrops++
+		st.releaseClient(f.Conn)
 		freeRing()
 		return
 	}

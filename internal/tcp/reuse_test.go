@@ -47,15 +47,21 @@ func runReuse(t *testing.T, spec string, reuse bool) reuseRun {
 // cell runs once with released clients reused LIFO and once with reuse
 // off, and both runs must export the same bytes and the same engine
 // statistics. The 10⁴-connection cell must also really reuse clients,
-// or the comparison shows nothing.
+// or the comparison shows nothing. Where objects is set, the cell with
+// reuse must make exactly that many clients: the peak of clients bound
+// at once, since a client whose SYN the listener refuses is released
+// at the refusal.
 func TestClientReuseMovesNothing(t *testing.T) {
 	for _, tc := range []struct {
-		spec  string
-		reuse bool // most clients must be reused
+		spec    string
+		reuse   bool // most clients must be reused
+		objects int  // client objects made with reuse on; 0: not pinned
 	}{
-		{"openloop", true},
+		{"openloop", true, 0},
 		// core's pinned give-up cell: every give-up path fires.
-		{"openloop,conns=60,servers=1,backlog=1,interval=60000,timeout=700000", false},
+		{"openloop,conns=60,servers=1,backlog=1,interval=60000,timeout=700000", false, 5},
+		// Overload: a one-deep accept queue refuses 36 of 40 SYNs.
+		{"openloop,conns=40,servers=1,backlog=1,interval=20000,timeout=600000", false, 7},
 	} {
 		on, off := runReuse(t, tc.spec, true), runReuse(t, tc.spec, false)
 		if string(on.export) != string(off.export) {
@@ -69,6 +75,9 @@ func TestClientReuseMovesNothing(t *testing.T) {
 		}
 		if tc.reuse && on.clients*10 > on.conns {
 			t.Errorf("%s: %d client objects for %d connections: clients are not reused", tc.spec, on.clients, on.conns)
+		}
+		if tc.objects != 0 && on.clients != tc.objects {
+			t.Errorf("%s: %d client objects with reuse, want %d", tc.spec, on.clients, tc.objects)
 		}
 	}
 }

@@ -183,14 +183,15 @@ func (w *OpenLoop) Received(c *tcp.Client, n int) {
 // WaitClose and would otherwise be lost to the pool forever (worker
 // attrition turns a transient overload into a permanent ceiling). A
 // connection that is not done has not been released, so its client is
-// still bound to its id. Each timer's closure carries its connection
-// id, so the timer knows its connection whatever order events fire in.
+// still bound to its id, unless the listener refused its SYN and
+// released it. Each timer's closure carries its connection id, so the
+// timer knows its connection whatever order events fire in.
 func (w *OpenLoop) giveUp(conn int) {
 	if w.done[conn] {
 		return
 	}
 	w.abandoned++
-	if c := w.m.St.Client(conn); !c.Opening() {
+	if c := w.m.St.Client(conn); c != nil && !c.Opening() {
 		c.Close()
 	}
 	w.finish(conn)
