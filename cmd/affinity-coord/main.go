@@ -52,12 +52,17 @@ import (
 	"repro/internal/coord"
 )
 
-// urlList collects a repeatable -worker flag.
+// urlList collects a repeatable -worker flag; a URL coord.WorkerURL
+// refuses is a usage error.
 type urlList []string
 
 func (l *urlList) String() string { return fmt.Sprint([]string(*l)) }
 func (l *urlList) Set(v string) error {
-	*l = append(*l, v)
+	u, err := coord.WorkerURL(v)
+	if err != nil {
+		return err
+	}
+	*l = append(*l, u)
 	return nil
 }
 

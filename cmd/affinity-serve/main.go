@@ -17,17 +17,8 @@
 //	-cache-bytes n       in-memory result-cache bound (default 256 MiB)
 //	-cache-dir path      on-disk result journal (default $AFFINITY_CACHE_DIR)
 //	-drain d             shutdown drain budget after SIGINT/SIGTERM (default 30s)
-//	-workload spec       default workload for requests that omit one
-//	                     (the README's spec grammar, e.g.
-//	                     "openloop,conns=100000" or @spec.json; empty =
-//	                     bulk ttcp), parsed once at startup
-//	-coalesce spec       default coalescing model for requests that omit
-//	                     one (same grammar, e.g. "adaptive,min=5,max=250";
-//	                     empty = legacy throttle), parsed once at startup
 //	-coord url           affinity-coord base URL to join as a fleet
-//	                     worker (empty = standalone); a usage error with
-//	                     -workload or -coalesce, since the coordinator
-//	                     keys each cell from its request alone
+//	                     worker (empty = standalone)
 //	-advertise url       base URL the coordinator should dial back
 //	                     (default derives http://127.0.0.1:port from
 //	                     -addr)
@@ -37,7 +28,9 @@
 // Endpoints: POST /v1/run, POST /v1/sweep (NDJSON stream), GET
 // /v1/verify, GET /healthz, GET /metrics (Prometheus text). See
 // internal/serve for request schemas; the README's "Serving the
-// simulator" section has a curl walkthrough.
+// simulator" section has a curl walkthrough. A request carries its own
+// workload and coalescing specs; the server applies no default of its
+// own, so a cell is the same on every server and through a coordinator.
 //
 // On SIGINT/SIGTERM the listener closes, in-flight requests get the drain
 // budget to finish, and a completed drain checkpoints the -cache-dir journal.
@@ -73,8 +66,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", cache.DefaultMaxBytes, "in-memory result-cache byte bound (<=0 = unbounded)")
 	cacheDir := flag.String("cache-dir", os.Getenv(cache.DirEnv), "on-disk result journal directory (empty = memory only)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-	workloadFlag := flag.String("workload", "", `default workload spec for requests that omit one ("kind,k=v,..." or @spec.json; empty = bulk ttcp)`)
-	coalesceFlag := flag.String("coalesce", "", `default coalescing spec for requests that omit one ("mode,k=v,..." or @config.json; empty = legacy throttle)`)
 	coordURL := flag.String("coord", "", "affinity-coord base URL to join as a fleet worker (empty = standalone)")
 	advertise := flag.String("advertise", "", "base URL the coordinator should dial back (default derives from -addr)")
 	announceEvery := flag.Duration("announce-interval", 30*time.Second, "re-registration cadence when -coord is set")
@@ -86,22 +77,15 @@ func main() {
 		return
 	}
 
-	def, err := operatorDefaults(*workloadFlag, *coalesceFlag, *coordURL)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "affinity-serve:", err)
-		os.Exit(2)
-	}
-
 	c := cache.New(*cacheBytes, *cacheDir)
+	runner := core.NewRunner(*workers)
 	srv := serve.New(serve.Options{
-		Runner:          core.NewRunner(*workers),
-		Cache:           c,
-		MaxInflight:     *maxInflight,
-		Timeout:         *timeout,
-		SimBudget:       *simBudget,
-		MaxSimCycles:    *maxSimCycles,
-		DefaultWorkload: def.Workload,
-		DefaultCoalesce: def.Coalesce,
+		Runner:       runner,
+		Cache:        c,
+		MaxInflight:  *maxInflight,
+		Timeout:      *timeout,
+		SimBudget:    *simBudget,
+		MaxSimCycles: *maxSimCycles,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
@@ -130,7 +114,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "affinity-serve %s listening on %s (workers=%d, cache=%s)\n",
-		buildinfo.Version(), *addr, serveWorkers(*workers), cacheLabel(*cacheDir))
+		buildinfo.Version(), *addr, runner.Workers(), cacheLabel(*cacheDir))
 
 	select {
 	case err := <-errCh:
@@ -154,28 +138,6 @@ func main() {
 	st := c.Stats()
 	fmt.Fprintf(os.Stderr, "affinity-serve: done (sims=%d, hits=%d, coalesced=%d, disk hits=%d, hit ratio %.2f)\n",
 		st.Sims, st.Hits, st.Coalesced, st.DiskHits, st.HitRatio())
-}
-
-// operatorDefaults resolves the -workload and -coalesce defaults once,
-// so a malformed one fails at startup rather than 400-ing every
-// request. A fleet worker (-coord) takes neither: the coordinator keys,
-// stores and journals each cell from its request alone, so a worker's
-// default would file one config's result under another config's key.
-func operatorDefaults(wl, coalesce, coordURL string) (def core.Config, err error) {
-	if coordURL != "" && wl+coalesce != "" {
-		return def, errors.New("-workload and -coalesce defaults cannot be combined with -coord: the coordinator keys each cell from its request alone")
-	}
-	if err = def.ApplySpecs("", wl, coalesce); err != nil {
-		err = errors.Unwrap(err) // the parsers' errors already name their spec
-	}
-	return def, err
-}
-
-func serveWorkers(n int) int {
-	if n <= 0 {
-		return core.DefaultWorkers()
-	}
-	return n
 }
 
 func cacheLabel(dir string) string {

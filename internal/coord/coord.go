@@ -22,11 +22,9 @@
 package coord
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -130,8 +128,9 @@ type Coordinator struct {
 }
 
 // New assembles a Coordinator and starts its heartbeat prober. It fails
-// on a negative Options.MemoEntries or a journal (Options.JournalDir)
-// that cannot be opened.
+// on a seed worker URL WorkerURL refuses, a negative
+// Options.MemoEntries or a journal (Options.JournalDir) that cannot be
+// opened.
 func New(opts Options) (*Coordinator, error) {
 	breakerThreshold := opts.BreakerThreshold
 	if breakerThreshold == 0 {
@@ -186,6 +185,13 @@ func New(opts Options) (*Coordinator, error) {
 	if c.hedgeAfter == 0 {
 		c.hedgeAfter = 30 * time.Second
 	}
+	for _, raw := range opts.Workers {
+		u, err := WorkerURL(raw)
+		if err != nil {
+			return nil, fmt.Errorf("coord: seed worker: %w", err)
+		}
+		c.reg.upsert(u, "", 0)
+	}
 	entries := opts.MemoEntries
 	if entries == 0 {
 		entries = 65536
@@ -203,9 +209,6 @@ func New(opts Options) (*Coordinator, error) {
 	c.store = newStore(entries, journal)
 	c.keys = newKeyIndex(entries)
 	c.metrics = newCMetrics(c)
-	for _, u := range opts.Workers {
-		c.reg.upsert(strings.TrimRight(u, "/"), "", 0)
-	}
 
 	c.mux.HandleFunc("POST /v1/register", c.instrument("/v1/register", c.handleRegister))
 	c.mux.HandleFunc("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
@@ -274,24 +277,25 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 func (c *Coordinator) probe(ctx context.Context, workerURL string) {
 	pctx, cancel := context.WithTimeout(ctx, c.heartbeat)
 	defer cancel()
+	miss := func() {
+		if c.reg.heartbeatMiss(workerURL, c.evictAfter) {
+			c.metrics.evictions.Add(1)
+		}
+	}
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, workerURL+"/v1/ping", nil)
 	if err != nil {
-		c.reg.heartbeatMiss(workerURL, c.evictAfter)
+		miss()
 		return
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		if c.reg.heartbeatMiss(workerURL, c.evictAfter) {
-			c.metrics.evictions.Add(1)
-		}
+		miss()
 		return
 	}
 	defer resp.Body.Close()
 	var p serve.PingResponse
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&p) != nil {
-		if c.reg.heartbeatMiss(workerURL, c.evictAfter) {
-			c.metrics.evictions.Add(1)
-		}
+		miss()
 		return
 	}
 	c.reg.heartbeatOK(workerURL, p)
@@ -339,20 +343,39 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !serve.Decode(w, r, &rq) {
 		return
 	}
-	u, err := url.Parse(rq.URL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		serve.HTTPError(w, http.StatusBadRequest, "url: need an absolute http(s) base URL, got %q", rq.URL)
+	u, err := WorkerURL(rq.URL)
+	if err != nil {
+		serve.HTTPError(w, http.StatusBadRequest, "url: %v", err)
 		return
 	}
-	if c.reg.upsert(strings.TrimRight(rq.URL, "/"), rq.Version, rq.Concurrency) {
+	if c.reg.upsert(u, rq.Version, rq.Concurrency) {
 		c.metrics.registrations.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(RegisterResponse{Status: "registered", Workers: len(c.reg.urls())})
 }
 
+// WorkerURL checks a worker base URL, registered or seeded, and returns
+// it without trailing slashes: it must be an absolute http or https URL
+// with a host.
+func WorkerURL(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return "", fmt.Errorf("need an absolute http(s) base URL, got %q", raw)
+	}
+	return strings.TrimRight(raw, "/"), nil
+}
+
 // handleSweep expands the grid exactly as a worker would and streams
-// the merged fleet results in the same deterministic order.
+// the merged fleet results in the same deterministic order. A resident
+// cell is answered from the store, under the key the index holds for
+// it, with no channel and no goroutine. Every other cell dispatches at
+// once (backpressure comes from the fleet's slot plan, not from
+// goroutine count) under a context the handler cancels when the stream
+// ends, perhaps at a failed cell, and the handler then waits for each
+// dispatch: no cell outlives the response, so nothing is stored or
+// journaled after it. A dispatch waits on HTTP requests or a store
+// flight, and both end with the context.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var rq serve.SweepRequest
 	if !serve.Decode(w, r, &rq) {
@@ -363,93 +386,48 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		serve.BadRequest(w, err)
 		return
 	}
-
-	// A resident cell is answered here, from the store, under the key
-	// the index holds for it. Every other cell dispatches concurrently,
-	// handed its key (backpressure comes from the fleet's slot plan, not
-	// from goroutine count); the stream emits in input order as prefixes
-	// complete — the same overlap-compute-with-delivery shape as the
-	// worker's own sweep handler.
-	ctx := r.Context()
 	lines := make([][]byte, len(cells))
-	errs := make([]error, len(cells))
 	ready := make([]chan struct{}, len(cells)) // nil: lines[i] is resident
+	var ctx context.Context
+	cancel := context.CancelFunc(func() {}) // a warm sweep makes no context
 	for i := range cells {
 		key := c.keys.key(cells[i])
-		if key != "" {
-			if line, from, ok := c.store.Get(key); ok {
-				c.countHit(from)
-				lines[i] = line
-				continue
-			}
+		if line, from, ok := c.store.Get(key); ok {
+			c.countHit(from)
+			lines[i] = line
+			continue
+		}
+		if ctx == nil {
+			ctx, cancel = context.WithCancel(r.Context())
 		}
 		ready[i] = make(chan struct{})
-		go func(i int) {
+		go func(ctx context.Context, i int) {
 			defer close(ready[i])
-			lines[i], errs[i] = c.cell(ctx, cells[i], key)
-		}(i)
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	unflushed := false
-	for i := range cells {
-		if ready[i] != nil {
-			select {
-			case <-ready[i]:
-			default:
-				// About to wait: push the lines so far to the client first,
-				// so a cold sweep streams while a warm one is one write.
-				if unflushed && flusher != nil {
-					flusher.Flush()
-					unflushed = false
-				}
-				select {
-				case <-ready[i]:
-				case <-ctx.Done():
-					return
-				}
+			if line, err := c.cell(ctx, cells[i], key); err == nil {
+				lines[i] = line
 			}
+		}(ctx, i)
+	}
+	serve.StreamLines(r.Context(), w, lines, ready)
+	cancel()
+	for _, ch := range ready {
+		if ch != nil {
+			<-ch
 		}
-		if errs[i] != nil {
-			// Truncate, like a worker does for a failed cell: the short
-			// stream is the failure signal.
-			return
-		}
-		// Two writes, not append: the line is shared with the store and
-		// with concurrent requests, and may have spare capacity.
-		if _, err := w.Write(lines[i]); err != nil {
-			return
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return
-		}
-		unflushed = true
 	}
 }
 
-// handleRun serves one cell through the fleet. The response is the
-// dispatched cell's raw sweep line re-indented — json.Indent preserves
-// key order and escaping, so the body is byte-identical to a worker's
-// own /v1/run answer.
+// handleRun serves one cell through the fleet as its one-cell sweep,
+// answered with the cell's line re-indented: byte-identical to a
+// worker's own /v1/run answer.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rq serve.RunRequest
 	if !serve.Decode(w, r, &rq) {
 		return
 	}
-	cfg, err := rq.Config()
+	cells, err := rq.Sweep().Expand()
 	if err != nil {
 		serve.BadRequest(w, err)
-		return
-	}
-	swq := serve.SweepRequest{
-		RunRequest: rq,
-		Sizes:      []int{cfg.Size},
-		Modes:      []string{serve.ModeToken(cfg.Mode)},
-	}
-	cells, err := swq.Expand()
-	if err != nil || len(cells) != 1 {
-		serve.HTTPError(w, http.StatusInternalServerError, "single-cell expansion failed: %v", err)
 		return
 	}
 	line, err := c.cell(r.Context(), cells[0], c.keys.key(cells[0]))
@@ -457,14 +435,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		serve.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, line, "", "  "); err != nil {
-		serve.HTTPError(w, http.StatusInternalServerError, "re-indenting result: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	buf.WriteByte('\n')
-	w.Write(buf.Bytes())
+	serve.WriteIndented(w, line)
 }
 
 // FleetHealth is the fleet-wide aggregate in the coordinator /healthz:
@@ -575,13 +546,10 @@ var fingerprint = cache.Fingerprint
 // so each distinct cell is keyed once per coordinator, not once per
 // request naming it. The key is a pure function of that request:
 // RunRequest.Config reads no file (it refuses "@file" specs), and the
-// request a cell forwards resolves on a worker to the key it is stored
-// under (FuzzSweepExpand). That holds because no fleet member applies
-// an operator default: the coordinator has none, and affinity-serve
-// refuses -workload and -coalesce together with -coord, since a
-// worker's default would fill the cells whose requests leave those
-// specs empty. The index is bounded like the store and cleared when
-// full; a cleared entry only costs one recomputation.
+// request a cell forwards expands on a worker to the same cell, the key
+// it is stored under (FuzzSweepExpand). The index is bounded like the
+// store and cleared when full; a cleared entry only costs one
+// recomputation.
 type keyIndex struct {
 	mu   sync.Mutex
 	max  int

@@ -2,10 +2,14 @@ package coord
 
 import (
 	"bufio"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -413,6 +417,57 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 	code, resp := post(t, cts.URL+"/v1/register", `{"url":"not-a-url"}`)
 	if code != http.StatusBadRequest {
 		t.Errorf("bad register URL: status %d (%s), want 400", code, resp)
+	}
+}
+
+// TestWorkerURLs: seed workers and registrations pass one check. A
+// URL that is not absolute http(s) with a host fails coord.New as a
+// seed and is a 400 at /v1/register, with the same message; a good one
+// is kept without its trailing slashes.
+func TestWorkerURLs(t *testing.T) {
+	cts, c := newCoord(t, Options{Heartbeat: time.Hour, Workers: []string{"http://127.0.0.1:9/", "https://example.test"}})
+	for _, bad := range []string{"localhost:8080", "not-a-url", "", "ftp://host", "http://", "/v1", "http://bad host"} {
+		_, err := New(Options{Workers: []string{"http://127.0.0.1:9", bad}})
+		if err == nil {
+			t.Errorf("seed worker %q accepted", bad)
+			continue
+		}
+		body, _ := json.Marshal(RegisterRequest{URL: bad})
+		code, resp := post(t, cts.URL+"/v1/register", string(body))
+		if code != http.StatusBadRequest {
+			t.Errorf("register %q: status %d (%s), want 400", bad, code, resp)
+		}
+		_, werr := WorkerURL(bad)
+		if want := "coord: seed worker: " + werr.Error(); err.Error() != want {
+			t.Errorf("seed worker %q: error %q, want %q", bad, err, want)
+		}
+		var answer struct{ Error string }
+		if json.Unmarshal([]byte(resp), &answer) != nil || answer.Error != "url: "+werr.Error() {
+			t.Errorf("register %q: body %s, want the error %q", bad, resp, "url: "+werr.Error())
+		}
+	}
+	var urls []string
+	for _, w := range c.reg.snapshot() {
+		urls = append(urls, w.URL)
+	}
+	sort.Strings(urls)
+	if want := []string{"http://127.0.0.1:9", "https://example.test"}; !reflect.DeepEqual(urls, want) {
+		t.Errorf("seeded workers %q, want %q", urls, want)
+	}
+}
+
+// TestProbeCountsEveryEviction: a worker evicted because its ping
+// request cannot even be built counts in
+// affinity_coord_evictions_total like one that stops answering.
+func TestProbeCountsEveryEviction(t *testing.T) {
+	_, c := newCoord(t, Options{Heartbeat: time.Hour, EvictAfter: 2})
+	const bad = "http://bad host" // only a direct upsert gets past WorkerURL
+	c.reg.upsert(bad, "", 1)
+	for i := 0; i < 2; i++ {
+		c.probe(context.Background(), bad)
+	}
+	if n := c.metrics.evictions.Load(); n != 1 {
+		t.Errorf("%d evictions counted, want 1", n)
 	}
 }
 

@@ -83,6 +83,11 @@ func (c *Coordinator) dispatchCell(ctx context.Context, cell serve.SweepCell) ([
 			c.metrics.hedged.Add(1)
 			launch()
 		case <-ctx.Done():
+			// Every attempt runs under ctx and ends with it; the cell ends
+			// once they have, so no request to a worker outlives it.
+			for ; received < launched; received++ {
+				<-results
+			}
 			return nil, ctx.Err()
 		}
 	}
@@ -184,7 +189,7 @@ func (c *Coordinator) post(ctx context.Context, l *lease, cell serve.SweepCell) 
 		}
 	}()
 
-	body, err := json.Marshal(forward(cell))
+	body, err := json.Marshal(cell.Req.Sweep())
 	if err != nil {
 		return nil, fmt.Errorf("encoding cell: %w", err)
 	}
@@ -215,15 +220,4 @@ func (c *Coordinator) post(ctx context.Context, l *lease, cell serve.SweepCell) 
 		return nil, fmt.Errorf("worker %s: expected one cell line, got several", l.url)
 	}
 	return line, nil
-}
-
-// forward is the single-cell sweep a worker is asked to run for cell.
-// It expands, on the worker, to exactly cell: FuzzSweepExpand holds its
-// one cell to the key the coordinator stores the answer under.
-func forward(cell serve.SweepCell) serve.SweepRequest {
-	return serve.SweepRequest{
-		RunRequest: cell.Req,
-		Sizes:      []int{cell.Req.Size},
-		Modes:      []string{cell.Req.Mode},
-	}
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -228,7 +229,7 @@ func FuzzSweepExpand(f *testing.F) {
 			if k := index.key(again[i]); k != want {
 				t.Fatalf("%s: cell %d indexed under %q on the repeat, want its fingerprint %s", body, i, k, want)
 			}
-			wire, err := json.Marshal(forward(cell))
+			wire, err := json.Marshal(cell.Req.Sweep())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,5 +397,74 @@ func TestWarmSweepAllocs(t *testing.T) {
 	}
 	if n > warmSweepAllocs {
 		t.Errorf("%v allocations per warm 28-cell sweep, want at most %d", n, warmSweepAllocs)
+	}
+}
+
+// blockingTransport answers the coordinator's single-cell dispatches in
+// process: a size-1 cell fails at once with a 500, and any other cell
+// blocks until its request context is done, which it records. The
+// coordinator's client returns only once RoundTrip does, so a dispatch
+// has ended exactly when RoundTrip has.
+type blockingTransport struct{ cancelled atomic.Bool }
+
+func (b *blockingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	var rq serve.SweepRequest
+	err := json.NewDecoder(r.Body).Decode(&rq)
+	r.Body.Close()
+	if err != nil || len(rq.Sizes) != 1 {
+		return nil, fmt.Errorf("want a single-cell sweep, got %v", err)
+	}
+	if rq.Sizes[0] == 1 {
+		return &http.Response{
+			StatusCode: http.StatusInternalServerError,
+			Body:       io.NopCloser(strings.NewReader("injected failure\n")),
+			Request:    r,
+		}, nil
+	}
+	<-r.Context().Done()
+	b.cancelled.Store(true)
+	return nil, r.Context().Err()
+}
+
+// TestFailedSweepOutlivesNoCell: a sweep whose first cell fails ends
+// its stream there, and no cell of it outlives the response. The cell
+// still in flight is cancelled before the handler returns, even though
+// the request's own context never ends, and nothing is stored or
+// journaled after the response.
+func TestFailedSweepOutlivesNoCell(t *testing.T) {
+	tr := &blockingTransport{}
+	c, err := New(Options{
+		Workers:     []string{"http://stub"},
+		Client:      &http.Client{Transport: tr},
+		Heartbeat:   time.Hour,
+		Retries:     -1,
+		HedgeAfter:  -1,
+		JournalDir:  t.TempDir(),
+		JournalSync: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel) // frees the blocked cell if the handler leaves it running
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(`{"sizes":[1,2],"modes":["none"]}`))
+	c.ServeHTTP(rec, req.WithContext(ctx))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("sweep with a failed first cell: status %d, body %q; want 200 and an empty stream", rec.Code, rec.Body)
+	}
+	if !tr.cancelled.Load() {
+		t.Error("the response ended while the second cell's dispatch still ran")
+	}
+	size, _ := c.store.Size()
+	appends := c.store.JournalStats().Appends
+	time.Sleep(100 * time.Millisecond)
+	if after, _ := c.store.Size(); after != size {
+		t.Errorf("store grew from %d to %d cells after the response", size, after)
+	}
+	if after := c.store.JournalStats().Appends; after != appends {
+		t.Errorf("journal appends went from %d to %d after the response", appends, after)
 	}
 }

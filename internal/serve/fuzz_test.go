@@ -35,7 +35,7 @@ func FuzzRunRequestConfig(f *testing.F) {
 		// Shapes that once crashed the shape builder or mis-keyed.
 		`{"nics":-1}`,
 		`{"queues":-2}`,
-		// Operator-only file specs.
+		// CLI-only file specs.
 		`{"faults":"@/etc/hostname","coalesce":" @x.json"}`,
 		// Cycle counts outside uint64, which once converted to
 		// host-dependent values.

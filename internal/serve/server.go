@@ -17,11 +17,13 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -30,12 +32,10 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
-	"repro/internal/workload"
 )
 
 // Options configures a Server. The zero value is serviceable: default
@@ -61,15 +61,6 @@ type Options struct {
 	// Version reported by /healthz and /metrics; "" resolves from build
 	// info.
 	Version string
-	// DefaultWorkload is the workload for requests that leave
-	// "workload" empty; nil keeps the bulk default. The operator parses
-	// it once with workload.Parse, which also reads the operator-only
-	// "@file.json" form, and every such request shares it.
-	DefaultWorkload *workload.Spec
-	// DefaultCoalesce is the coalescing model for requests that leave
-	// "coalesce" empty; nil keeps the legacy throttle. It is parsed once
-	// with netdev.ParseCoalesce, like DefaultWorkload.
-	DefaultCoalesce *netdev.CoalesceConfig
 	// SimBudget is the wall-clock watchdog per simulation: a cell still
 	// running after this long is cooperatively cancelled and reported
 	// aborted, freeing its limiter slot instead of hanging it. 0 leaves
@@ -85,17 +76,13 @@ type Server struct {
 	runner *core.Runner
 	cache  *cache.Cache
 	// simulate executes one cell beneath the cache (Options.Run).
-	simulate func(context.Context, core.Config) *core.Result
-	sem      chan struct{}
-	timeout  time.Duration
-	version  string
-	// defaultWorkload/defaultCoalesce are the operator's defaults for
-	// requests that leave workload or coalesce empty (withDefaults).
-	defaultWorkload *workload.Spec
-	defaultCoalesce *netdev.CoalesceConfig
-	metrics         *workerMetrics
-	engines         engineAgg
-	simBudget       time.Duration
+	simulate  func(context.Context, core.Config) *core.Result
+	sem       chan struct{}
+	timeout   time.Duration
+	version   string
+	metrics   *workerMetrics
+	engines   engineAgg
+	simBudget time.Duration
 	// waiting counts requests blocked on a limiter slot — the queue
 	// depth a coordinator's load-aware planner weighs against.
 	waiting atomic.Int64
@@ -160,15 +147,13 @@ func (a *engineAgg) snapshot() EngineHealth {
 // New assembles a Server.
 func New(opts Options) *Server {
 	s := &Server{
-		runner:          opts.Runner,
-		cache:           opts.Cache,
-		simulate:        opts.Run,
-		timeout:         opts.Timeout,
-		version:         opts.Version,
-		defaultWorkload: opts.DefaultWorkload,
-		defaultCoalesce: opts.DefaultCoalesce,
-		simBudget:       opts.SimBudget,
-		mux:             http.NewServeMux(),
+		runner:    opts.Runner,
+		cache:     opts.Cache,
+		simulate:  opts.Run,
+		timeout:   opts.Timeout,
+		version:   opts.Version,
+		simBudget: opts.SimBudget,
+		mux:       http.NewServeMux(),
 	}
 	if s.runner == nil {
 		s.runner = core.NewRunner(0)
@@ -323,11 +308,11 @@ func BadRequest(w http.ResponseWriter, err error) {
 // the cycle cap applied beneath (Options.Run). The engine polls the
 // context at ladder-bucket boundaries, so a cell that aborts frees its
 // limiter slot within a few events instead of simulating into a closed
-// connection. Aborted results are counted here (cancellations vs budget
-// aborts) and returned for the caller to translate into its failure
-// shape; a simulator panic becomes an error and a tick of
-// affinity_panics_total instead of a dead worker goroutine.
-func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (o cellResult) {
+// connection. It returns the completed result, or the failure of a cell
+// that did not complete: an abort, counted here as a cancellation or a
+// budget abort, or a simulator panic, which ticks affinity_panics_total
+// instead of killing the worker goroutine.
+func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (res *core.Result, fail *failure) {
 	simCtx := ctx
 	if s.simBudget > 0 {
 		var cancel context.CancelFunc
@@ -337,41 +322,33 @@ func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (o c
 	defer func() {
 		if v := recover(); v != nil {
 			s.metrics.panics.Inc(path)
-			o = cellResult{err: fmt.Errorf("simulation panicked: %v", v)}
+			res, fail = nil, &failure{http.StatusInternalServerError, fmt.Sprintf("simulation panicked: %v", v)}
 		}
 	}()
-	res := s.cache.GetOrRun(cfg, func(c core.Config) *core.Result { return s.simulate(simCtx, c) })
+	res = s.cache.GetOrRun(cfg, func(c core.Config) *core.Result { return s.simulate(simCtx, c) })
 	switch {
-	case res == nil:
 	case !res.Aborted:
 		s.engines.add(res.Engine)
+		return res, nil
 	case ctx.Err() != nil && res.AbortReason == core.AbortCancelled:
 		s.simsCancelled.Add(1)
 	default:
 		s.budgetAborts.Add(1)
 	}
-	return cellResult{res: res}
+	return nil, &failure{http.StatusServiceUnavailable, "simulation aborted: " + cmp.Or(res.AbortReason, "aborted")}
 }
 
-// cellResult is one cell's outcome: a result (which may be aborted) or
-// the error of a simulator panic.
-type cellResult struct {
-	res *core.Result
-	err error
+// failure is a cell that did not complete, with the status that answers
+// it: 500 for a panic, 503 for an abort.
+type failure struct {
+	code int
+	msg  string
 }
 
-// ok reports whether the cell completed.
-func (o cellResult) ok() bool { return o.err == nil && o.res != nil && !o.res.Aborted }
+func (f *failure) answer(w http.ResponseWriter) { HTTPError(w, f.code, "%s", f.msg) }
 
-// answerFailure answers a cell that did not complete: 500 for a panic,
-// 503 for an abort.
-func (o cellResult) answerFailure(w http.ResponseWriter) {
-	if o.err != nil {
-		HTTPError(w, http.StatusInternalServerError, "%v", o.err)
-		return
-	}
-	HTTPError(w, http.StatusServiceUnavailable, "simulation aborted: %s", abortReason(o.res))
-}
+// cancelled is the failure of a cell whose request ended first.
+var cancelled = &failure{http.StatusServiceUnavailable, "request timed out; simulation cancelled"}
 
 // RunRequest is the JSON body of POST /v1/run and the base of /v1/sweep.
 // Zero values select the paper's defaults. Mode, direction and policy
@@ -409,13 +386,12 @@ type RunRequest struct {
 
 	// Workload is a workload spec (workload.Parse, e.g.
 	// "openloop,conns=100000,arrival=pareto" or "rpc,mix=web"). Empty
-	// means the paper's bulk ttcp workload (or the server's configured
-	// default).
+	// means the paper's bulk ttcp workload.
 	Workload string `json:"workload"`
 
 	// Coalesce is an interrupt-coalescing spec (netdev.ParseCoalesce,
 	// e.g. "timer,usecs=100" or "adaptive,min=5,max=250"). Empty means
-	// the legacy fixed throttle (or the server's configured default).
+	// the legacy fixed throttle.
 	Coalesce string `json:"coalesce"`
 }
 
@@ -425,8 +401,8 @@ type RunRequest struct {
 // it will.
 func (rq RunRequest) Config() (core.Config, error) {
 	// A leading "@" makes the spec parsers read a file on this host:
-	// operator-only (flags), so a request body's is refused before any
-	// parser runs.
+	// CLI flags only, so a request body's is refused before any parser
+	// runs.
 	for _, f := range []struct{ name, text string }{
 		{"faults", rq.Faults}, {"workload", rq.Workload}, {"coalesce", rq.Coalesce},
 	} {
@@ -450,10 +426,7 @@ func (rq RunRequest) Config() (core.Config, error) {
 		}
 		dir = d
 	}
-	size := rq.Size
-	if size == 0 {
-		size = 65536
-	}
+	size := cmp.Or(rq.Size, defaultSize)
 	if size < 0 {
 		return core.Config{}, fieldErrf("size", "must be positive, got %d", size)
 	}
@@ -501,6 +474,16 @@ func (rq RunRequest) Config() (core.Config, error) {
 	return cfg, nil
 }
 
+// defaultSize is the transaction size of a request that names none.
+const defaultSize = 65536
+
+// Sweep is the one-cell sweep of the request's own mode and size. It
+// expands to the request's one cell: both tiers serve /v1/run through
+// it, and a coordinator forwards each cell to a worker in this form.
+func (rq RunRequest) Sweep() SweepRequest {
+	return SweepRequest{RunRequest: rq, Sizes: []int{cmp.Or(rq.Size, defaultSize)}, Modes: []string{cmp.Or(rq.Mode, "none")}}
+}
+
 // Decode reads a strict JSON body (unknown fields are client errors),
 // answering a 400 and returning false when it does not parse.
 func Decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
@@ -513,66 +496,48 @@ func Decode[T any](w http.ResponseWriter, r *http.Request, into *T) bool {
 	return true
 }
 
-// handleRun simulates (or serves from cache) one cell.
+// handleRun serves one cell as its one-cell sweep: the cell's line
+// re-indented, or the answer to its failure. A cell still running when
+// the request ends is answered 503 at once, whether or not the
+// simulation has noticed yet.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rq RunRequest
 	if !Decode(w, r, &rq) {
 		return
 	}
-	cfg, err := rq.Config()
+	cells, err := rq.Sweep().Expand()
 	if err != nil {
 		BadRequest(w, err)
 		return
 	}
-	s.withDefaults(rq, &cfg)
-	release := s.acquire(w, r)
-	if release == nil {
+	run := s.runCells(w, r, "/v1/run", cells)
+	if run == nil {
 		return
 	}
-	done := make(chan cellResult, 1)
-	go func() {
-		defer release()
-		done <- s.runCell(r.Context(), "/v1/run", cfg)
-	}()
 	select {
-	case o := <-done:
-		if !o.ok() {
-			o.answerFailure(w)
-			return
+	case <-run.ready[0]:
+		if f := run.fails[0]; f != nil {
+			f.answer(w)
+		} else {
+			WriteIndented(w, run.lines[0])
 		}
-		w.Header().Set("Content-Type", "application/json")
-		out, err := o.res.JSON()
-		if err != nil {
-			HTTPError(w, http.StatusInternalServerError, "encoding result: %v", err)
-			return
-		}
-		fmt.Fprintln(w, out)
 	case <-r.Context().Done():
-		// The same context bounds the simulation: it aborts at its next
-		// engine poll and frees its slot — nothing keeps burning cycles
-		// behind this 503.
-		HTTPError(w, http.StatusServiceUnavailable, "request timed out; simulation cancelled")
+		cancelled.answer(w)
 	}
 }
 
-func abortReason(res *core.Result) string {
-	if res == nil || res.AbortReason == "" {
-		return "aborted"
+// WriteIndented answers a /v1/run with its cell's sweep line
+// re-indented. json.Indent keeps key order and escaping, so the body is
+// the bytes json.MarshalIndent gives the cell's export, on either tier.
+func WriteIndented(w http.ResponseWriter, line []byte) {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, line, "", "  "); err != nil {
+		HTTPError(w, http.StatusInternalServerError, "re-indenting result: %v", err)
+		return
 	}
-	return res.AbortReason
-}
-
-// withDefaults fills the operator's default workload and coalescing
-// model into cfg where its request left them empty. They apply here,
-// outside RunRequest.Config, because a coordinator resolves requests
-// with that method too and must key a cell from its request alone.
-func (s *Server) withDefaults(rq RunRequest, cfg *core.Config) {
-	if rq.Workload == "" && s.defaultWorkload != nil {
-		cfg.Workload = s.defaultWorkload
-	}
-	if rq.Coalesce == "" && s.defaultCoalesce != nil {
-		cfg.Coalesce = s.defaultCoalesce
-	}
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
 }
 
 // SweepRequest is the JSON body of POST /v1/sweep: a base cell plus the
@@ -670,68 +635,95 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		BadRequest(w, err)
 		return
 	}
-	for i := range cells {
-		s.withDefaults(rq.RunRequest, &cells[i].Cfg)
+	if run := s.runCells(w, r, "/v1/sweep", cells); run != nil {
+		StreamLines(r.Context(), w, run.lines, run.ready)
 	}
+}
+
+// cellRun is the state of a request's cells on the worker pool. Once
+// ready[i] is closed, lines[i] is cell i's sweep line, or nil when the
+// cell failed, and fails[i] says why.
+type cellRun struct {
+	lines [][]byte
+	fails []*failure
+	ready []chan struct{}
+}
+
+// runCells starts cells on the worker pool under one limiter slot, held
+// until the last cell stops, and returns at once; it answers 503 and
+// returns nil when no slot frees before the request ends. Each cell
+// marshals its own line. A cell not yet started when the request ends
+// (client gone, timeout, or an earlier failed cell) is skipped and
+// counted in affinity_sweep_cells_cancelled_total, so an abandoned
+// stream does not burn the pool; cells already simulating are
+// cooperatively cancelled through the same context.
+func (s *Server) runCells(w http.ResponseWriter, r *http.Request, path string, cells []SweepCell) *cellRun {
 	release := s.acquire(w, r)
 	if release == nil {
-		return
+		return nil
 	}
-
-	// Fan the grid across the worker pool; stream each cell as soon as
-	// it and all its predecessors are done, preserving deterministic
-	// order while overlapping compute with delivery.
-	ctx := r.Context()
-	out := make([]*core.Result, len(cells))
-	ready := make([]chan struct{}, len(cells))
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	ctx, n := r.Context(), len(cells)
+	run := &cellRun{make([][]byte, n), make([]*failure, n), make([]chan struct{}, n)}
+	for i := range run.ready {
+		run.ready[i] = make(chan struct{})
 	}
 	go func() {
 		defer release()
-		s.runner.Do(len(cells), func(i int) {
-			// An abandoned stream (client gone, timeout, or an earlier
-			// failed cell) cancels every cell not yet dispatched:
-			// coordinator retries and hedges abandon streams routinely,
-			// and simulating the remainder into a closed connection
-			// would burn the whole pool. Cells already simulating are
-			// cooperatively cancelled through the same context, so
-			// abandonment frees the pool within a few events.
+		s.runner.Do(n, func(i int) {
+			defer close(run.ready[i])
 			if ctx.Err() != nil {
 				s.sweepCancelled.Add(1)
-				close(ready[i])
+				run.fails[i] = cancelled
 				return
 			}
-			// A panicking or aborted cell leaves a nil slot; the stream
-			// ends there rather than skipping it, so truncation signals
-			// the failure.
-			if o := s.runCell(ctx, "/v1/sweep", cells[i].Cfg); o.ok() {
-				out[i] = o.res
+			res, fail := s.runCell(ctx, path, cells[i].Cfg)
+			if fail == nil {
+				var err error
+				if run.lines[i], err = json.Marshal(res.Export()); err != nil {
+					fail = &failure{http.StatusInternalServerError, "encoding result: " + err.Error()}
+				}
 			}
-			close(ready[i])
+			run.fails[i] = fail
 		})
 	}()
+	return run
+}
 
+// StreamLines writes a request's cells to w as NDJSON in input order,
+// each line once it and every cell before it are done. Cell i is done
+// once ready[i] is closed, or from the start when ready[i] is nil. A
+// nil line is a failed cell: the stream ends there, and the short
+// stream is the failure signal. It also ends when ctx does. The stream
+// flushes only before it waits on a cell, so a cold stream reaches the
+// client as its cells complete and a warm one is one write. Both tiers
+// stream through here.
+func StreamLines(ctx context.Context, w http.ResponseWriter, lines [][]byte, ready []chan struct{}) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	for i := range cells {
-		select {
-		case <-ready[i]:
-		case <-ctx.Done():
-			// Client gone or timed out: stop streaming. In-flight cells
-			// abort at their next engine poll; undispatched cells are
-			// cancelled above.
+	for i := range lines {
+		if ready[i] != nil {
+			select {
+			case <-ready[i]:
+			default:
+				if flusher != nil {
+					flusher.Flush()
+				}
+				select {
+				case <-ready[i]:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+		if lines[i] == nil {
 			return
 		}
-		if out[i] == nil {
+		// Two writes, not append: a coordinator's line is shared with its
+		// store and with concurrent requests, and may have spare capacity.
+		// A failed write fails the next one too.
+		w.Write(lines[i])
+		if _, err := io.WriteString(w, "\n"); err != nil {
 			return
-		}
-		if err := enc.Encode(out[i].Export()); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 }
@@ -786,10 +778,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A failed cell unwinds the scoring pass as a panic carrying its
-	// cellResult; checks stays nil and fail says why.
+	// failure; checks stays nil and fail says why.
 	type verdict struct {
 		checks []core.Check
-		fail   cellResult
+		fail   *failure
 	}
 	done := make(chan verdict, 1)
 	go func() {
@@ -798,36 +790,35 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
 				var ok bool
-				if v.fail, ok = p.(cellResult); !ok {
+				if v.fail, ok = p.(*failure); !ok {
 					s.metrics.panics.Inc("/v1/verify")
-					v.fail.err = fmt.Errorf("verify panicked: %v", p)
+					v.fail = &failure{http.StatusInternalServerError, fmt.Sprintf("verify panicked: %v", p)}
 				}
 			}
 			done <- v
 		}()
 		runner := core.NewRunner(s.runner.Workers()).Use(func(cfg core.Config) *core.Result {
-			o := s.runCell(r.Context(), "/v1/verify", cfg)
-			if !o.ok() {
-				panic(o)
+			res, fail := s.runCell(r.Context(), "/v1/verify", cfg)
+			if fail != nil {
+				panic(fail)
 			}
-			return o.res
+			return res
 		})
 		v.checks = core.VerifyShapeWith(runner, cfgFor)
 	}()
 	select {
 	case v := <-done:
 		if v.checks == nil {
-			v.fail.answerFailure(w)
+			v.fail.answer(w)
 			return
 		}
-		checks := v.checks
 		if q.Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, core.FormatChecks(checks))
+			fmt.Fprint(w, core.FormatChecks(v.checks))
 			return
 		}
-		resp := VerifyResponse{Checks: checks, Total: len(checks)}
-		for _, c := range checks {
+		resp := VerifyResponse{Checks: v.checks, Total: len(v.checks)}
+		for _, c := range v.checks {
 			if c.Pass {
 				resp.Passed++
 			}

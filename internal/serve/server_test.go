@@ -9,8 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/netdev"
 	"repro/internal/ttcp"
-	"repro/internal/workload"
 )
 
 // tiny are the smallest windows that still measure something; every
@@ -378,7 +374,7 @@ func TestFieldLevel400s(t *testing.T) {
 		"negative nics":     {`{"nics":-1}`, "nics"},
 		"negative queues":   {`{"queues":-2}`, "queues"},
 		"too many nics":     {`{"nics":1000000000}`, "nics"},
-		// "@file" specs are operator-only: refused before any parser
+		// "@file" specs are CLI-only: refused before any parser
 		// could open the file.
 		"file faults":   {`{"faults":"@/etc/hostname"}`, "faults"},
 		"file workload": {`{"workload":"@/nonexistent"}`, "workload"},
@@ -550,48 +546,6 @@ func TestAbandonedSweepCancelsUndispatchedCells(t *testing.T) {
 	}
 	if strings.Contains(metricsBody, "affinity_sweep_cells_cancelled_total 0\n") {
 		t.Error("cancelled-cell counter stuck at zero in /metrics")
-	}
-}
-
-// TestOperatorFileDefaults: the operator's -workload/-coalesce defaults
-// may name files even though a request body may not. They are parsed
-// once, before the server starts: with the files deleted, every /v1/run
-// and every /v1/sweep cell still resolves with them, to the cell a
-// request spelling the same specs inline gets.
-func TestOperatorFileDefaults(t *testing.T) {
-	dir := t.TempDir()
-	wl, co := filepath.Join(dir, "workload.json"), filepath.Join(dir, "coalesce.json")
-	if err := os.WriteFile(wl, []byte(`{"kind":"rpc","mix":"web"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(co, []byte(`{"mode":"timer","usecs":100}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	defWorkload, err := workload.Parse("@" + wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defCoalesce, err := netdev.ParseCoalesce("@" + co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{wl, co} {
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files := newTestServer(t, Options{DefaultWorkload: defWorkload, DefaultCoalesce: defCoalesce})
-	inline := newTestServer(t, Options{})
-
-	for _, path := range []string{"/v1/run", "/v1/sweep"} {
-		code, got := post(t, files.URL+path, tinyBody(""))
-		if code != http.StatusOK {
-			t.Fatalf("%s under file defaults: status %d (%s)", path, code, got)
-		}
-		_, want := post(t, inline.URL+path, tinyBody(`,"workload":"rpc,mix=web","coalesce":"timer,usecs=100"`))
-		if got != want {
-			t.Errorf("%s: file defaults gave\n%s\nthe inline specs gave\n%s", path, got, want)
-		}
 	}
 }
 
