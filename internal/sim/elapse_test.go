@@ -24,17 +24,23 @@ type elapseRec struct {
 // with After. Every decision comes from the world's own RNG, consumed in
 // callback order, so two worlds seeded alike stay in lockstep exactly
 // as long as their engines fire the same callbacks in the same order.
+//
+// With coros set, each actor is a coroutine instead (spawnCoro), in the
+// shape of a kernel context: it schedules its continuation as the event
+// that resumes it, and waits for it.
 type elapseWorld struct {
 	tb     testing.TB
 	e      *Engine
 	rng    *RNG
 	stop   atomic.Bool
 	inline bool
+	coros  bool
 	log    []elapseRec
 
 	fires  []func() // actor continuations, bound once per actor
 	actors int      // live actors
 	leaves int      // leaves scheduled, the next leaf's id
+	cos    []*Coro  // coroutine actors, killed when the test ends
 }
 
 func newElapseWorld(tb testing.TB, seed uint64, inline bool) *elapseWorld {
@@ -63,6 +69,10 @@ func (w *elapseWorld) offset() Cycles {
 func (w *elapseWorld) spawn(d Cycles) {
 	id := len(w.fires)
 	w.actors++
+	if w.coros {
+		w.spawnCoro(id, d)
+		return
+	}
 	var fire func()
 	fire = func() {
 		for {
@@ -137,27 +147,39 @@ func elapseState(e *Engine) string {
 }
 
 // runElapseDiff drives an Elapse-using engine and an After-only engine
-// through one seeded script — Run horizons, SetInterrupt budgets, the
-// stop flag, Halt, same-cycle and beyond-band events, a final Drain — and fails on the first observable difference, or on a
-// look-ahead cache that disagrees with scanBand at any actor step or
-// leaf in either engine. It returns how many events the first engine
-// completed in place.
+// through one seeded script (runScript) and returns how many events the
+// first engine completed in place.
 func runElapseDiff(t testing.TB, seed uint64, rounds int) uint64 {
 	a, b := newElapseWorld(t, seed, true), newElapseWorld(t, seed, false)
-	for _, w := range []*elapseWorld{a, b} {
+	runScript(t, seed, rounds, []string{"inline", "queued"}, a, b)
+	if b.e.Elapsed() != 0 {
+		t.Fatalf("seed %d: the queued engine completed %d events in place", seed, b.e.Elapsed())
+	}
+	return a.e.Elapsed()
+}
+
+// runScript drives worlds seeded alike through one seeded script — Run
+// horizons, SetInterrupt budgets, the stop flag, Halt, same-cycle and
+// beyond-band events, a final Drain — and fails on the first observable
+// difference from the first world, or on a look-ahead cache that
+// disagrees with scanBand at any actor step or leaf in any engine.
+// Worlds that complete inline alike must also agree on Elapsed.
+func runScript(t testing.TB, seed uint64, rounds int, names []string, worlds ...*elapseWorld) {
+	for _, w := range worlds {
 		w.spawn(0)
 		w.spawn(3)
 	}
+	ref := worlds[0]
 	script := NewRNG(seed ^ 0x5eed)
 	for round := 0; round < rounds; round++ {
-		now := a.e.Now()
+		now := ref.e.Now()
 		until := now + Time(script.Intn(3*bandBuckets))
 		var budget Time // 0 uninstalls
 		if script.Intn(4) == 0 {
 			budget = now + Time(script.Intn(2*bandBuckets))
 		}
 		final := round == rounds-1
-		for _, w := range []*elapseWorld{a, b} {
+		for _, w := range worlds {
 			w.e.SetInterrupt(&w.stop, budget)
 			if final {
 				w.e.SetInterrupt(nil, 0)
@@ -167,22 +189,25 @@ func runElapseDiff(t testing.TB, seed uint64, rounds int) uint64 {
 			}
 			w.stop.Store(false)
 		}
-		if sa, sb := elapseState(a.e), elapseState(b.e); sa != sb {
-			t.Fatalf("seed %d round %d: engine state diverged\n inline: %s\n queued: %s", seed, round, sa, sb)
-		}
-		if !slices.Equal(a.log, b.log) {
-			i := 0
-			for i < len(a.log) && i < len(b.log) && a.log[i] == b.log[i] {
-				i++
+		for k, w := range worlds[1:] {
+			name := names[k+1]
+			if sa, sb := elapseState(ref.e), elapseState(w.e); sa != sb {
+				t.Fatalf("seed %d round %d: engine state diverged\n %s: %s\n %s: %s", seed, round, names[0], sa, name, sb)
 			}
-			t.Fatalf("seed %d round %d: observation %d diverged (inline %d records, queued %d)\n inline: %+v\n queued: %+v",
-				seed, round, i, len(a.log), len(b.log), a.log[i:min(i+3, len(a.log))], b.log[i:min(i+3, len(b.log))])
+			if ea, eb := ref.e.Elapsed(), w.e.Elapsed(); ref.inline == w.inline && ea != eb {
+				t.Fatalf("seed %d round %d: %s completed %d events in place, %s %d", seed, round, names[0], ea, name, eb)
+			}
+			if !slices.Equal(ref.log, w.log) {
+				i := 0
+				for i < len(ref.log) && i < len(w.log) && ref.log[i] == w.log[i] {
+					i++
+				}
+				t.Fatalf("seed %d round %d: observation %d diverged (%s %d records, %s %d)\n %s: %+v\n %s: %+v",
+					seed, round, i, names[0], len(ref.log), name, len(w.log),
+					names[0], ref.log[i:min(i+3, len(ref.log))], name, w.log[i:min(i+3, len(w.log))])
+			}
 		}
 	}
-	if b.e.Elapsed() != 0 {
-		t.Fatalf("seed %d: the queued engine completed %d events in place", seed, b.e.Elapsed())
-	}
-	return a.e.Elapsed()
 }
 
 // TestElapseMatchesQueuedCompletion is the differential test of Elapse
