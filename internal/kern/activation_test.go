@@ -200,3 +200,48 @@ func TestDeviceIRQChainAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d activations ran, want one per interrupt (1001)", got)
 	}
 }
+
+// TestDrivenTaskReapedWhereItEnds has a task end its body after it was
+// preempted, stolen and dispatched on the other processor while it was
+// driving the engine. That dispatch's Resume only marked it woken, so
+// the body ends inside the Resume that started it, the first dispatch
+// on processor 0, and the reap must act on processor 1, where the task
+// now runs: processor 1 goes idle, and processor 0 keeps running the
+// task that preempted it.
+func TestDrivenTaskReapedWhereItEnds(t *testing.T) {
+	r := newKernel(t, 2, 1)
+	r.k.Tune.CacheDecayCycles = 0 // the preempted task may be stolen at once
+	p := r.proc("work", perf.BinOther)
+	run := func(n uint64) func(e *Env) {
+		return func(e *Env) { e.Run(p, func(x *cpu.Exec) { x.Instr(n, 0, 0) }) }
+	}
+	mover := r.k.Spawn("mover", 0, 0, run(1_000_000))
+	var pinned *Task
+	r.eng.At(50_000, func() { r.k.Spawn("cpu1", 1, 2, run(1_500_000)) })
+	r.eng.At(100_000, func() {
+		// Preempt the mover at its completion for a task pinned here.
+		pinned = r.k.Spawn("cpu0", 0, 1, run(2_000_000))
+		r.k.CPUs[0].needResched = true
+	})
+	var during [2]string // what each processor runs after the mover ended
+	r.eng.At(2_500_000, func() {
+		for i, c := range r.k.CPUs {
+			during[i] = "nothing"
+			if c.curr != nil {
+				during[i] = c.curr.Name
+			}
+		}
+	})
+	r.eng.Run(20_000_000)
+	if mover.State() != TaskDead || mover.LastCPU() != 1 {
+		t.Fatalf("mover state %v on cpu %d, want dead on cpu 1 (migrated)", mover.State(), mover.LastCPU())
+	}
+	if during != [2]string{"cpu0", "nothing"} || pinned.State() != TaskDead {
+		t.Fatalf("after the mover ended, cpu0 runs %s and cpu1 %s; want cpu0 and nothing", during[0], during[1])
+	}
+	for _, c := range r.k.CPUs {
+		if !c.IsIdle() || c.curr != nil {
+			t.Fatalf("cpu %d is not idle at the end", c.id)
+		}
+	}
+}

@@ -83,37 +83,3 @@ func BenchmarkEnvRunActivation(b *testing.B) {
 	b.ResetTimer()
 	eng.Run(sim.Forever - 1)
 }
-
-// BenchmarkEnvRunActivationParked measures the parked activation: two
-// processors' tasks run equal work items in lockstep, so each one's
-// completion is never the engine's next event and every activation
-// takes the full path — Begin and Finish, the completion event, the
-// boundary and two coroutine switches. An op is one activation. It
-// allocates nothing.
-func BenchmarkEnvRunActivationParked(b *testing.B) {
-	eng := sim.NewEngine(1)
-	tab := perf.NewSymbolTable()
-	ctr := perf.NewCounters(tab, 2)
-	k := New(Config{
-		Engine: eng, Space: mem.NewSpace(), Table: tab, Ctr: ctr,
-		NumCPUs: 2, CPU: cpu.DefaultConfig(), Tune: DefaultTuning(),
-	})
-	defer k.Shutdown()
-	p := k.NewProc("bench_fn", perf.BinOther, 512)
-	n := 0
-	for c := 0; c < 2; c++ {
-		k.Spawn("bench", c, 1<<c, func(e *Env) {
-			for n < b.N {
-				e.Run(p, func(x *cpu.Exec) { x.Instr(100, 0, 0) })
-				n++
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run(sim.Forever - 1)
-	b.StopTimer()
-	if eng.Elapsed() != 0 {
-		b.Fatalf("%d of %d activations completed inline, want all parked", eng.Elapsed(), n)
-	}
-}

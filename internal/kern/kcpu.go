@@ -487,17 +487,23 @@ func (c *KCPU) dispatch(next *Task) {
 }
 
 // resumeTask hands control to the task coroutine and, if the body
-// finished, reaps it and reschedules.
+// finished, reaps it and reschedules on the processor it finished on.
+// That is env.cpu, not necessarily c: the Resume returns only when the
+// coroutine parks or ends, and a body that drove the engine meanwhile
+// (Engine.Drive) may have been preempted, dispatched elsewhere and woken
+// there, where that dispatch's own Resume only marked it woken.
 func (c *KCPU) resumeTask(env *Env) {
 	env.co.Resume()
-	if env.co.Done() {
-		if c.curr == env.task {
-			c.curr = nil
-		}
-		env.task.state = TaskDead
-		c.state = stSched
-		c.schedule()
+	if !env.co.Done() {
+		return
 	}
+	c = env.cpu
+	if c.curr == env.task {
+		c.curr = nil
+	}
+	env.task.state = TaskDead
+	c.state = stSched
+	c.schedule()
 }
 
 // kick nudges an idle processor to run its scheduler (used when work is

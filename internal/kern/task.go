@@ -75,12 +75,13 @@ type Env struct {
 	// resume the continuation that hands control back to the context.
 	// Both are bound once, in newEnv, so an activation allocates
 	// nothing, and both read e.cpu when they fire rather than when Run
-	// schedules them. That is the same processor: a context parked in
-	// Run is not runnable (a softirq daemon never moves; a task stays
-	// its processor's current task), and e.cpu changes only in dispatch,
-	// which runs only for a task taken off a run queue. The boundary
-	// that requeues a preempted task drops its resume and never calls
-	// it, and dispatch later resumes the coroutine directly.
+	// schedules them. That is the same processor: a context waiting in
+	// Run (parked or driving) is not runnable (a softirq daemon never
+	// moves; a task stays its processor's current task), and e.cpu
+	// changes only in dispatch, which runs only for a task taken off a
+	// run queue. The boundary that requeues a preempted task drops its
+	// resume and never calls it, and dispatch later resumes the
+	// coroutine directly.
 	complete func()
 	resume   func()
 }
@@ -135,7 +136,16 @@ func (e *Env) Run(proc Proc, build func(x *cpu.Exec)) {
 		return
 	}
 	c.k.Eng.After(cycles, e.complete)
-	e.co.Park()
+	// Driven completion: rather than park, the context fires the events
+	// due before its completion itself, and returns once the resume
+	// that the boundary (or dispatch) performs has only marked it woken.
+	// Each site that resumes a context does so last (resumeTask then
+	// only checks Done), so going on after that event returned is going
+	// on inside it. Whoever really resumed this coroutine reaps it if
+	// its body ends.
+	if !c.k.Eng.Drive(e.co) {
+		e.co.Park()
+	}
 }
 
 // resumeContext continues a parked context: softirq daemons resume

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -185,5 +186,57 @@ func TestCoroPanicMessages(t *testing.T) {
 	sloppy.Resume()
 	if got, want := catch(sloppy.Kill), `sim: coroutine "sloppy" panicked: cleanup`; got != want {
 		t.Errorf("cleanup panic on kill: got %v, want %q", got, want)
+	}
+}
+
+// TestDrivenEventPanicSurfacesUnchanged pins the value an event's panic
+// surfaces with from Engine.Run when it fires in a drive — here one
+// nested in another: the value itself, as when the drain fires it, not
+// wrapped as a driving coroutine's own panic. No driver outlives it.
+func TestDrivenEventPanicSurfacesUnchanged(t *testing.T) {
+	boom := errors.New("boom")
+	for _, park := range []bool{false, true} {
+		restore := SetAlwaysPark(park)
+		e := NewEngine(1)
+		wait := func(co *Coro, d Cycles) {
+			e.After(d, co.Resume)
+			if !e.Drive(co) {
+				co.Park()
+			}
+		}
+		outer := NewCoro("task:outer", func(co *Coro) { wait(co, 200) })
+		inner := NewCoro("task:inner", func(co *Coro) { wait(co, 90) })
+		e.At(0, outer.Resume)
+		e.At(10, inner.Resume)
+		drivers := 0
+		e.At(50, func() {
+			for _, co := range []*Coro{outer, inner} {
+				if co.driver == e {
+					drivers++
+				}
+			}
+			panic(boom)
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run(1000)
+			return nil
+		}()
+		restore()
+		if got != boom {
+			t.Errorf("park=%v: Run panicked with %v, want the event's own value", park, got)
+		}
+		if want := map[bool]int{false: 2, true: 0}[park]; drivers != want {
+			t.Errorf("park=%v: the event panicked with %d coroutines driving, want %d", park, drivers, want)
+		}
+		for _, co := range []*Coro{outer, inner} {
+			if co.driver != nil || co.woken {
+				t.Errorf("park=%v: %s still drives after the panic", park, co.Name())
+			}
+			co.Kill()
+		}
+		if e.woken {
+			t.Errorf("park=%v: the engine still holds a wake", park)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // spawnCoro starts actor id as a coroutine, first resumed d cycles from
 // now. Each step schedules the event that resumes the actor — after
 // trying to complete it in place with Elapse, as kern's Env.Run does —
-// and parks until it fires.
+// and then drives the engine until it fires, or parks if Drive refuses.
 func (w *elapseWorld) spawnCoro(id int, d Cycles) {
 	var resume func()
 	co := NewCoro(fmt.Sprintf("actor%d", id), func(co *Coro) {
@@ -24,6 +24,10 @@ func (w *elapseWorld) spawnCoro(id int, d Cycles) {
 				continue
 			}
 			w.e.After(d, resume)
+			if w.e.Drive(co) {
+				w.driven++
+				continue
+			}
 			co.Park()
 		}
 	})
@@ -46,27 +50,72 @@ func newCoroWorld(tb testing.TB, seed uint64) *elapseWorld {
 	return w
 }
 
-// runDriveDiff drives a world of callback actors and a world of
-// coroutine actors through one seeded script: handing control to a
-// coroutine and back must not change which events fire, in what order,
-// or any counter.
-func runDriveDiff(t testing.TB, seed uint64, rounds int) {
-	runScript(t, seed, rounds, []string{"callback", "parked"},
-		newElapseWorld(t, seed, true), newCoroWorld(t, seed))
+// runDriveDiff drives a world of callback actors, a world of coroutine
+// actors that always park (SetAlwaysPark) and one whose actors drive,
+// through one seeded script: handing control to a coroutine and back,
+// or firing events from its stack, must not change which events fire,
+// in what order, or any counter. It returns how many waits the driving
+// actors ended without a switch.
+func runDriveDiff(t testing.TB, seed uint64, rounds int) int {
+	parked, driven := newCoroWorld(t, seed), newCoroWorld(t, seed)
+	parked.park = true
+	runScript(t, seed, rounds, []string{"callback", "parked", "driven"},
+		newElapseWorld(t, seed, true), parked, driven)
+	if parked.driven != 0 {
+		t.Fatalf("seed %d: %d waits driven with every Drive refused", seed, parked.driven)
+	}
+	return driven.driven
 }
 
-// TestDriveMatchesCallbacks is the differential test of coroutine
-// actors against the callback actors of the Elapse script.
-func TestDriveMatchesCallbacks(t *testing.T) {
+// TestDriveMatchesParking is the differential test of Engine.Drive
+// against parking, with callback actors as the common reference.
+func TestDriveMatchesParking(t *testing.T) {
 	seeds, rounds := 40, 200
 	if testing.Short() {
 		seeds = 8
 	}
+	driven := 0
 	for s := 1; s <= seeds; s++ {
-		runDriveDiff(t, uint64(s), rounds)
+		driven += runDriveDiff(t, uint64(s), rounds)
+	}
+	if driven == 0 {
+		t.Fatal("no actor ended a wait by driving: the test compares nothing")
 	}
 }
 
+// TestDriveLeavesTheWindowAtTheHorizon is the case where Drive must
+// refuse without moving the window: the band is empty and the heap's
+// minimum lies past the run's horizon. Advancing there would leave the
+// band's buckets read relative to a now below the window, and the Run
+// that follows would fire the event a whole band early (bug D′).
+func TestDriveLeavesTheWindowAtTheHorizon(t *testing.T) {
+	for _, park := range []bool{false, true} {
+		restore := SetAlwaysPark(park)
+		e := NewEngine(1)
+		const at = bandBuckets + 10
+		var firedAt Time
+		co := NewCoro("ctx", func(co *Coro) {
+			e.After(at, func() {
+				firedAt = e.Now()
+				co.Resume()
+			})
+			if !e.Drive(co) {
+				co.Park()
+			}
+		})
+		e.At(0, co.Resume)
+		e.Run(100)
+		e.Run(Forever - 1)
+		restore()
+		if firedAt != at || !co.Done() {
+			t.Fatalf("park=%v: the event due at %d fired at %d (done %v)", park, at, firedAt, co.Done())
+		}
+	}
+}
+
+// FuzzDrive runs runDriveDiff's script on fuzzed seeds. The corpus seed
+// in testdata is the case TestDriveLeavesTheWindowAtTheHorizon pins: a
+// Drive that advanced the window at the horizon fails it.
 func FuzzDrive(f *testing.F) {
 	for _, s := range []uint64{1, 2, 3, 0xdeadbeef} {
 		f.Add(s, uint8(60))

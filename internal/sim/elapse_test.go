@@ -35,6 +35,8 @@ type elapseWorld struct {
 	stop   atomic.Bool
 	inline bool
 	coros  bool
+	park   bool // coroutine actors run with every Drive refused
+	driven int  // waits coroutine actors ended by driving
 	log    []elapseRec
 
 	fires  []func() // actor continuations, bound once per actor
@@ -181,12 +183,14 @@ func runScript(t testing.TB, seed uint64, rounds int, names []string, worlds ...
 		final := round == rounds-1
 		for _, w := range worlds {
 			w.e.SetInterrupt(&w.stop, budget)
+			restore := SetAlwaysPark(w.park)
 			if final {
 				w.e.SetInterrupt(nil, 0)
 				w.e.Drain()
 			} else {
 				w.e.Run(until)
 			}
+			restore()
 			w.stop.Store(false)
 		}
 		for k, w := range worlds[1:] {

@@ -149,7 +149,14 @@ type Engine struct {
 	running bool
 	horizon Time
 	elapsed uint64
+	// woken is set once a Resume of a driving coroutine has arrived:
+	// every drive stops after the event that made it (Drive).
+	woken bool
 }
+
+// alwaysPark makes every Drive refuse, so each waiting context parks.
+// Tests set it (export_test.go) to compare the two paths.
+var alwaysPark bool
 
 // SetTrace installs a hook invoked before every event executes, with the
 // event's time and the running fired-event count. Diagnostics only; nil
@@ -394,6 +401,65 @@ func (e *Engine) Elapse(d Cycles) bool {
 	return true
 }
 
+// Drive lets the coroutine co, which has just scheduled the event it
+// waits for and would otherwise park, fire the pending events itself,
+// from its own stack, in (time, seq) order, exactly as the drain that co
+// would park into: the same trace-hook calls and counters, the same
+// clock moves, and the same halt, stop-flag, budget and horizon rules.
+// When one of them resumes co — that Resume only marks co woken — Drive
+// returns true as soon as that event has returned, and co goes on as the
+// resumed coroutine would have: without a coroutine switch.
+//
+// Drives nest. A coroutine that an event of a drive resumes runs on its
+// own stack and may drive in turn while the outer drive waits under it.
+// A Resume of any driver stops every drive after the event that made
+// it; the drivers above the woken one park, so it goes on next, as it
+// would have inside that event.
+//
+// Drive returns false when the drain would go no further, or may not be
+// known to: no Run or Drain is in progress, the run is halted or
+// interrupted, the stop flag is set, the next event lies past the run's
+// horizon or the SetInterrupt budget, or another driver was woken. It
+// may fire events before it refuses. Either way it leaves the engine
+// exactly as the drain would at that point, and co parks: the drain
+// below co then goes on from there and makes the same decision itself.
+// To keep that true at the horizon, Drive peeks the heap rather than
+// advance the window to an event it will not fire (an advanced window
+// is read relative to now and would alias a later bucket, bug D′).
+//
+// The equivalence with parking holds only if the caller parks when
+// Drive refuses, and nothing else runs between co's Drive and that park.
+func (e *Engine) Drive(co *Coro) bool {
+	if alwaysPark || !e.running || e.woken {
+		return false
+	}
+	co.driver = e
+	// Run's loop. Its first stop-flag poll may come mid-batch, where
+	// the drain polls only every interruptStride events; refusing
+	// there is exact all the same. A stride poll that interrupts a
+	// batch is repeated, at the same count, by the drain co parks into.
+	for !e.halted && !e.interrupted && (e.stop == nil || !e.stop.Load()) {
+		t, ok := e.peek()
+		if !ok || t > e.horizon || t > e.stopAt {
+			break
+		}
+		if e.bandCount == 0 {
+			e.advance(t)
+		}
+		e.now = t
+		e.drainBucket()
+		if e.woken {
+			break
+		}
+	}
+	woken := co.woken
+	co.driver = nil
+	if woken {
+		co.woken, e.woken = false, false
+	}
+	return woken
+}
+
 // Elapsed reports how many events Elapse completed in place. They are
 // also counted in Fired and Stats, exactly as queued events are.
 func (e *Engine) Elapsed() uint64 { return e.elapsed }
@@ -459,26 +525,36 @@ func (e *Engine) advance(t0 Time) {
 	}
 }
 
-// next reports the time of the earliest pending event, advancing the
-// window when the band has drained and the heap holds the future.
-func (e *Engine) next() (Time, bool) {
+// peek reports the time of the earliest pending event as next finds it,
+// without advancing the window.
+func (e *Engine) peek() (Time, bool) {
 	if e.bandCount > 0 {
 		return e.lookahead(), true
 	}
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	t0 := e.ats[e.heap[0]]
-	e.advance(t0)
-	return t0, true
+	return e.ats[e.heap[0]], true
+}
+
+// next reports the time of the earliest pending event, advancing the
+// window when the band has drained and the heap holds the future.
+func (e *Engine) next() (Time, bool) {
+	t, ok := e.peek()
+	if ok && e.bandCount == 0 {
+		e.advance(t)
+	}
+	return t, ok
 }
 
 // drainBucket executes every event in now's bucket in one batched pass:
 // same-cycle events — including ones scheduled by the events themselves —
 // fire back to back without re-probing the queue, in exact seq order.
 // The bucket is re-read from now on every pass: when a callback moved
-// the clock with Elapse, the drain goes on with the new now's bucket,
-// exactly as the drain that fired the elapsed event would have.
+// the clock with Elapse, or a coroutine it resumed drove the run on
+// (Drive), the drain goes on with the new now's bucket, exactly as the
+// drain that fired those events would have. In a drive it returns as
+// soon as the event that resumed the driver has returned.
 func (e *Engine) drainBucket() {
 	for {
 		b := int(e.now) & bandMask
@@ -502,7 +578,7 @@ func (e *Engine) drainBucket() {
 			e.trace(e.now, e.fired)
 		}
 		fn()
-		if e.halted {
+		if e.halted || e.woken {
 			return
 		}
 		if e.stop != nil && e.fired&interruptStride == 0 && e.stop.Load() {
