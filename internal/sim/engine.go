@@ -430,7 +430,7 @@ func (e *Engine) Elapse(d Cycles) bool {
 // The equivalence with parking holds only if the caller parks when
 // Drive refuses, and nothing else runs between co's Drive and that park.
 func (e *Engine) Drive(co *Coro) bool {
-	if alwaysPark || !e.running || e.woken {
+	if alwaysPark || !e.running {
 		return false
 	}
 	co.driver = e
