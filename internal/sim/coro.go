@@ -26,7 +26,7 @@ import (
 // Instead of parking, a body that waits for an event it has scheduled
 // may drive the engine (Engine.Drive): it fires the pending events from
 // its own stack. A Resume of a coroutine that is driving only marks it
-// woken and returns at once; the driver then stops, and the body goes on
+// woken and returns at once; its drive then stops, and the body goes on
 // once the event that resumed it has returned. That is the order parking
 // would give only because every Resume site is the last thing its event
 // does, so the caller must keep Resume in tail position (code after it

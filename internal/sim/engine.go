@@ -412,9 +412,9 @@ func (e *Engine) Elapse(d Cycles) bool {
 //
 // Drives nest. A coroutine that an event of a drive resumes runs on its
 // own stack and may drive in turn while the outer drive waits under it.
-// A Resume of any driver stops every drive after the event that made
-// it; the drivers above the woken one park, so it goes on next, as it
-// would have inside that event.
+// A Resume of any driving coroutine stops every drive after the event
+// that made it; the driving coroutines above the woken one park, so it
+// goes on next, as it would have inside that event.
 //
 // Drive returns false when the drain would go no further, or may not be
 // known to: no Run or Drain is in progress, the run is halted or
@@ -554,7 +554,7 @@ func (e *Engine) next() (Time, bool) {
 // the clock with Elapse, or a coroutine it resumed drove the run on
 // (Drive), the drain goes on with the new now's bucket, exactly as the
 // drain that fired those events would have. In a drive it returns as
-// soon as the event that resumed the driver has returned.
+// soon as the event that resumed the driving coroutine has returned.
 func (e *Engine) drainBucket() {
 	for {
 		b := int(e.now) & bandMask
